@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,6 +159,23 @@ class PolygonChain:
         return bool(np.max(np.abs(self.edge_lengths() - lengths.lengths)) < tol)
 
 
+def chain_vertices(ell: np.ndarray, turns) -> np.ndarray:
+    """Vertices of open chains that start at the origin heading along +x.
+
+    ``turns`` has shape ``(..., k)``: the turn angles at the first ``k``
+    vertices reached; ``ell`` holds the ``k + 1`` edge lengths.  The
+    heading of edge ``j`` is the sum of the first ``j`` turns.  Returns the
+    endpoint of every edge, shape ``(..., k + 1, 2)``; the origin itself
+    is not included.
+    """
+    turns = np.asarray(turns, dtype=float)
+    headings = np.concatenate(
+        (np.zeros(turns.shape[:-1] + (1,)), np.cumsum(turns, axis=-1)), axis=-1
+    )
+    steps = ell[:, None] * np.stack((np.cos(headings), np.sin(headings)), axis=-1)
+    return np.cumsum(steps, axis=-2)
+
+
 def vertices_from_turn_angles(
     lengths: SideLengths, angles: TurnAngles | np.ndarray
 ) -> tuple[PolygonChain, float]:
@@ -175,13 +193,35 @@ def vertices_from_turn_angles(
         raise ValueError(
             f"length/angle count mismatch: {ell.size} sides vs {theta.size} angles"
         )
-    n = ell.size
-    # heading of edge j is the sum of the first j turn angles (edge 0 heads +x)
-    headings = np.concatenate(([0.0], np.cumsum(theta[: n - 1])))
-    steps = ell[:, None] * np.column_stack((np.cos(headings), np.sin(headings)))
-    verts = np.cumsum(steps, axis=0)
+    verts = chain_vertices(ell, theta[:-1])
     defect = float(math.hypot(verts[-1, 0], verts[-1, 1]))
     return PolygonChain(verts), defect
+
+
+def _edge_products(verts: np.ndarray):
+    """Edge vectors of closed chains ``(..., n, 2)``, with the cross and dot
+    product of each edge and the edge after it, shape ``(..., n)``."""
+    e = verts - np.roll(verts, 1, axis=-2)
+    nxt = np.roll(e, -1, axis=-2)  # edge leaving vertex i
+    cross = e[..., 0] * nxt[..., 1] - e[..., 1] * nxt[..., 0]
+    dot = e[..., 0] * nxt[..., 0] + e[..., 1] * nxt[..., 1]
+    return e, cross, dot
+
+
+def _turn_angles(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
+    theta = np.arctan2(cross, dot)
+    # arctan2 returns values in [-pi, pi]; fold -pi onto +pi
+    return np.where(theta <= -math.pi, math.pi, theta)
+
+
+def turn_angle_array(verts: np.ndarray) -> np.ndarray:
+    """Signed turn angles of closed chains, ``(..., n, 2) -> (..., n)``.
+
+    The formula of :func:`turn_angles_from_vertices`, for a stack of
+    chains and without its zero-length edge check.
+    """
+    _, cross, dot = _edge_products(verts)
+    return _turn_angles(cross, dot)
 
 
 def turn_angles_from_vertices(chain: PolygonChain) -> TurnAngles:
@@ -189,18 +229,12 @@ def turn_angles_from_vertices(chain: PolygonChain) -> TurnAngles:
 
     Raises on zero-length edges, whose direction is undefined.
     """
-    e = chain.edges()
+    e, cross, dot = _edge_products(chain.vertices)
     lens = np.hypot(e[:, 0], e[:, 1])
     scale = max(float(lens.max()), 1e-300)
     if np.any(lens <= 1e-14 * scale):
         raise ValueError("zero-length edge: turn angle undefined")
-    nxt = np.roll(e, -1, axis=0)  # edge leaving vertex i
-    cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
-    dot = e[:, 0] * nxt[:, 0] + e[:, 1] * nxt[:, 1]
-    theta = np.arctan2(cross, dot)
-    # arctan2 returns values in [-pi, pi]; fold -pi onto +pi
-    theta = np.where(theta <= -math.pi, math.pi, theta)
-    return TurnAngles(theta)
+    return TurnAngles(_turn_angles(cross, dot))
 
 
 def canonicalize(chain: PolygonChain) -> PolygonChain:
@@ -337,6 +371,59 @@ def _between(a, b, c) -> bool:
         min(a[0], b[0]) - pad <= c[0] <= max(a[0], b[0]) + pad
         and min(a[1], b[1]) - pad <= c[1] <= max(a[1], b[1]) + pad
     )
+
+
+@lru_cache(maxsize=64)
+def _edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the non-adjacent edge pairs of an n-cycle."""
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))
+    return i[keep], j[keep]
+
+
+def embedded_mask(verts: np.ndarray) -> np.ndarray:
+    """Embeddedness of each closed chain in an ``(M, n, 2)`` batch.
+
+    A chain is embedded when no two non-adjacent edges meet at all
+    (crossing, touching or overlapping) and no vertex folds its two edges
+    back onto each other.  The tolerance is set per chain, not per edge
+    pair: with ``s`` the chain's largest absolute coordinate, orientation
+    signs within ``ORIENT_EPS * s**2`` count as zero and the on-segment
+    box tests are padded by ``ORIENT_EPS * s``.  Chains built from the
+    same turn angles therefore get the same answer in a batch of one
+    (:func:`~polylink.config_space.classify`) and in a grid sweep.
+    """
+    scale = np.maximum(np.abs(verts).max(axis=(1, 2)), 1e-300)[:, None]
+    eps = ORIENT_EPS * scale * scale
+    pad = (ORIENT_EPS * scale)[..., None]
+    i, j = _edge_pairs(verts.shape[1])
+    prev = np.roll(verts, 1, axis=1)
+    a, b = prev[:, i], verts[:, i]
+    c, d = prev[:, j], verts[:, j]
+
+    def orient(p, q, r):
+        v = (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
+            q[..., 1] - p[..., 1]
+        ) * (r[..., 0] - p[..., 0])
+        return np.where(np.abs(v) <= eps, 0.0, np.sign(v))
+
+    def on_seg(p, q, r):
+        return (
+            (np.minimum(p, q) - pad <= r) & (r <= np.maximum(p, q) + pad)
+        ).all(axis=-1)
+
+    o1, o2 = orient(a, b, c), orient(a, b, d)
+    o3, o4 = orient(c, d, a), orient(c, d, b)
+    contact = (o1 * o2 < 0) & (o3 * o4 < 0)
+    contact |= (o1 == 0) & on_seg(a, b, c)
+    contact |= (o2 == 0) & on_seg(a, b, d)
+    contact |= (o3 == 0) & on_seg(c, d, a)
+    contact |= (o4 == 0) & on_seg(c, d, b)
+
+    # adjacent fold-back: collinear with opposite direction
+    _, cross, dot = _edge_products(verts)
+    fold = (np.abs(cross) <= eps) & (dot < 0.0)
+    return ~contact.any(axis=1) & ~fold.any(axis=1)
 
 
 def reflect_x(chain: PolygonChain) -> PolygonChain:

@@ -22,6 +22,7 @@ import click
 import numpy as np
 
 from .chain_geometry import (
+    TAU,
     PolygonChain,
     SideLengths,
     TurnAngles,
@@ -37,8 +38,6 @@ from .config_space import (
 from .convex_atlas import sample_atlas
 from .flow import CONVERGED, FlowParams, convexify as run_convexify
 from .svg_frames import write_frame_set
-
-TAU = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_PARSE = 1

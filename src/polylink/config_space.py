@@ -13,24 +13,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .chain_geometry import (
-    ORIENT_EPS,
     TANGENT_RTOL,
+    TAU,
     PolygonChain,
-    SegmentRelation,
     SideLengths,
     TurnAngles,
+    chain_vertices,
     circle_circle_intersection,
-    segment_intersection,
+    embedded_mask,
+    segment_intersection,  # noqa: F401  re-exported: perfbench/tracer.py counts calls here
+    turn_angle_array,
     turn_angles_from_vertices,
     vertices_from_turn_angles,
 )
-
-TAU = 2.0 * math.pi
 
 WINDING_TOL = 1e-6
 CONVEX_ANGLE_SLACK = 1e-9
@@ -65,40 +64,20 @@ class StraightLineReport:
         return len(self.sign_vectors)
 
 
-def _edge_pairs(n: int):
-    """Index pairs (i, j) of non-adjacent edges of an n-cycle."""
-    for i, j in combinations(range(n), 2):
-        if j - i == 1 or (i == 0 and j == n - 1):
-            continue
-        yield i, j
-
-
 def classify(chain: PolygonChain) -> ConfigClass:
     """Classify a closed chain: embeddedness, winding, convexity.
 
     A chain is embedded when no two non-adjacent edges touch at all and no
-    adjacent pair folds back onto itself (collinear overlap).  Convexity
-    additionally requires counterclockwise winding and no negative turn
-    angle beyond a small slack.
+    adjacent pair folds back onto itself (collinear overlap).  This is
+    :func:`~polylink.chain_geometry.embedded_mask` on a batch of one, so
+    the tolerance is per chain: orientation signs within ``ORIENT_EPS``
+    times the squared largest absolute coordinate count as zero, exactly
+    as in :func:`enumerate_configurations`.  Convexity additionally
+    requires counterclockwise winding and no negative turn angle beyond a
+    small slack.
     """
     angles = turn_angles_from_vertices(chain)
-    verts = chain.vertices
-    n = chain.n
-    segs = [(verts[i - 1], verts[i]) for i in range(n)]
-
-    embedded = True
-    for i, j in _edge_pairs(n):
-        if segment_intersection(segs[i], segs[j]) is not SegmentRelation.DISJOINT:
-            embedded = False
-            break
-    if embedded:
-        # adjacent edges may only share their common endpoint
-        for i in range(n):
-            rel = segment_intersection(segs[i], segs[(i + 1) % n])
-            if rel is SegmentRelation.OVERLAP:
-                embedded = False
-                break
-
+    embedded = bool(embedded_mask(chain.vertices[None])[0])
     winding = angles.winding
     convex = (
         embedded
@@ -172,11 +151,7 @@ def closures_for_free_angles(
     free = np.asarray(free_angles, dtype=float)
     if free.size != n - 3:
         raise ValueError(f"expected {n - 3} free angles, got {free.size}")
-    headings = np.concatenate(([0.0], np.cumsum(free)))
-    steps = ell[: n - 2, None] * np.column_stack(
-        (np.cos(headings), np.sin(headings))
-    )
-    front = np.cumsum(steps, axis=0)  # vertices 0 .. n-3
+    front = chain_vertices(ell[: n - 2], free)  # vertices 0 .. n-3
     anchor = front[-1]
     if math.hypot(*anchor) <= TANGENT_RTOL * (ell[n - 2] + ell[n - 1]):
         return []  # elbow circles concentric: degenerate, no discrete branch
@@ -243,68 +218,6 @@ class ConfigSampleSet:
         )
 
 
-def _batch_turn_angles(verts: np.ndarray) -> np.ndarray:
-    """Turn angles for a batch of closed chains, shape (M, n, 2) -> (M, n)."""
-    e = verts - np.roll(verts, 1, axis=1)
-    nxt = np.roll(e, -1, axis=1)
-    cross = e[..., 0] * nxt[..., 1] - e[..., 1] * nxt[..., 0]
-    dot = e[..., 0] * nxt[..., 0] + e[..., 1] * nxt[..., 1]
-    theta = np.arctan2(cross, dot)
-    return np.where(theta <= -math.pi, math.pi, theta)
-
-
-def _batch_embedded(verts: np.ndarray) -> np.ndarray:
-    """Vectorized embeddedness test for a batch of closed chains.
-
-    Mirrors :func:`classify`: non-adjacent edges must be fully disjoint,
-    adjacent edges must not fold back onto each other.
-    """
-    M, n, _ = verts.shape
-    scale = np.maximum(np.abs(verts).max(axis=(1, 2)), 1e-300)
-    eps = ORIENT_EPS * scale * scale
-    ok = np.ones(M, dtype=bool)
-
-    def orient(a, b, c):
-        v = (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
-            b[..., 1] - a[..., 1]
-        ) * (c[..., 0] - a[..., 0])
-        return np.where(np.abs(v) <= eps, 0.0, np.sign(v))
-
-    prev = np.roll(verts, 1, axis=1)
-    for i, j in _edge_pairs(n):
-        a, b = prev[:, i], verts[:, i]
-        c, d = prev[:, j], verts[:, j]
-        o1 = orient(a, b, c)
-        o2 = orient(a, b, d)
-        o3 = orient(c, d, a)
-        o4 = orient(c, d, b)
-        contact = (o1 * o2 < 0) & (o3 * o4 < 0)
-
-        def on_seg(p, q, r):
-            pad = ORIENT_EPS * np.maximum(scale, 1e-300)
-            return (
-                (np.minimum(p[..., 0], q[..., 0]) - pad <= r[..., 0])
-                & (r[..., 0] <= np.maximum(p[..., 0], q[..., 0]) + pad)
-                & (np.minimum(p[..., 1], q[..., 1]) - pad <= r[..., 1])
-                & (r[..., 1] <= np.maximum(p[..., 1], q[..., 1]) + pad)
-            )
-
-        contact |= (o1 == 0) & on_seg(a, b, c)
-        contact |= (o2 == 0) & on_seg(a, b, d)
-        contact |= (o3 == 0) & on_seg(c, d, a)
-        contact |= (o4 == 0) & on_seg(c, d, b)
-        ok &= ~contact
-
-    # adjacent fold-back: collinear with opposite direction
-    e = verts - prev
-    nxt = np.roll(e, -1, axis=1)
-    cross = e[..., 0] * nxt[..., 1] - e[..., 1] * nxt[..., 0]
-    dot = e[..., 0] * nxt[..., 0] + e[..., 1] * nxt[..., 1]
-    fold = (np.abs(cross) <= eps[:, None]) & (dot < 0.0)
-    ok &= ~fold.any(axis=1)
-    return ok
-
-
 def enumerate_configurations(
     lengths: SideLengths,
     grid_per_angle: int,
@@ -321,7 +234,9 @@ def enumerate_configurations(
     grid point contributes one closed configuration per elbow branch
     whose closing circles intersect; a tangency contributes a single
     configuration.  Supported for ``3 <= n <= 6`` by design: this is the
-    desk-scale oracle.
+    desk-scale oracle.  Each configuration is classified on the chain
+    rebuilt from its stored turn angles, the chain :meth:`ConfigSampleSet.chain`
+    returns, so it agrees with :func:`classify` of that chain.
     """
     n = lengths.n
     if not 3 <= n <= 6:
@@ -346,13 +261,16 @@ def enumerate_configurations(
     total = grid_per_angle**n3
     r1, r2 = float(ell[n - 2]), float(ell[n - 1])
     tol = TANGENT_RTOL * (r1 + r2)
+    # grid points per pass: the embeddedness temporaries hold one entry per
+    # (chain, non-adjacent edge pair), at most ``chunk`` of them
+    step = max(chunk // max(n * (n - 3) // 2, 1), 1)
 
     cols: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("free_indices", "branch", "angles")
+        k: [] for k in ("free_indices", "branch", "angles", "embedded")
     }
 
-    for start in range(0, max(total, 1), chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, max(total, 1), step):
+        stop = min(start + step, total)
         flat = np.arange(start, stop, dtype=np.int64)
         if n3 > 0:
             idx = np.empty((flat.size, n3), dtype=np.int32)
@@ -367,14 +285,7 @@ def enumerate_configurations(
             idx = np.zeros((1, 0), dtype=np.int32)
             free = np.zeros((1, 0))
 
-        m = free.shape[0]
-        headings = np.concatenate(
-            (np.zeros((m, 1)), np.cumsum(free, axis=1)), axis=1
-        )
-        steps = ell[: n - 2][None, :, None] * np.stack(
-            (np.cos(headings), np.sin(headings)), axis=2
-        )
-        front = np.cumsum(steps, axis=1)  # (m, n-2, 2): vertices 0..n-3
+        front = chain_vertices(ell[: n - 2], free)  # (m, n-2, 2): vertices 0..n-3
         anchor = front[:, -1, :]
         d = np.hypot(anchor[:, 0], anchor[:, 1])
 
@@ -411,22 +322,27 @@ def enumerate_configurations(
                 ),
                 axis=1,
             )
-            theta = _batch_turn_angles(verts)
+            theta = turn_angle_array(verts)
             cols["free_indices"].append(idx[rows] if n3 > 0 else
                                         np.zeros((rows.size, 0), np.int32))
             cols["branch"].append(
                 np.full(rows.size, branch_id, dtype=np.int8)
             )
             cols["angles"].append(theta)
+            cols["embedded"].append(
+                embedded_mask(chain_vertices(ell, theta[:, : n - 1]))
+            )
 
     if cols["branch"]:
         free_indices = np.concatenate(cols["free_indices"])
         branch = np.concatenate(cols["branch"])
         angles = np.concatenate(cols["angles"])
+        embedded = np.concatenate(cols["embedded"])
     else:
         free_indices = np.zeros((0, n3), np.int32)
         branch = np.zeros(0, np.int8)
         angles = np.zeros((0, n))
+        embedded = np.zeros(0, dtype=bool)
 
     # restore grid-major, branch-minor order across the per-branch blocks
     if n3 > 0 and branch.size:
@@ -434,28 +350,15 @@ def enumerate_configurations(
             grid_per_angle ** np.arange(n3 - 1, -1, -1, dtype=np.int64)
         )
         order = np.lexsort((branch, key))
-        free_indices, branch, angles = (
+        free_indices, branch, angles, embedded = (
             free_indices[order],
             branch[order],
             angles[order],
+            embedded[order],
         )
 
-    # classify in bulk (rebuild vertices chunk-wise from angles)
     M = branch.size
     winding = angles.sum(axis=1) if M else np.zeros(0)
-    embedded = np.zeros(M, dtype=bool)
-    for start in range(0, M, chunk):
-        stop = min(start + chunk, M)
-        th = angles[start:stop]
-        m = th.shape[0]
-        headings = np.concatenate(
-            (np.zeros((m, 1)), np.cumsum(th[:, : n - 1], axis=1)), axis=1
-        )
-        steps = ell[None, :, None] * np.stack(
-            (np.cos(headings), np.sin(headings)), axis=2
-        )
-        verts = np.cumsum(steps, axis=1)
-        embedded[start:stop] = _batch_embedded(verts)
     convex = (
         embedded
         & (np.abs(winding - TAU) <= WINDING_TOL)
@@ -489,20 +392,6 @@ def choose_qrs(angles: TurnAngles) -> tuple[int, int, int]:
     return q, r, s
 
 
-def _lay_subchain(ell_seg: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Positions of a rigid open subchain in a local frame.
-
-    First vertex at the origin, first edge along +x; ``interior`` holds the
-    turn angles at the vertices strictly inside the subchain.  Returns all
-    vertex positions including both endpoints, shape (len(ell_seg)+1, 2).
-    """
-    headings = np.concatenate(([0.0], np.cumsum(interior)))
-    steps = ell_seg[:, None] * np.column_stack(
-        (np.cos(headings), np.sin(headings))
-    )
-    return np.vstack(((0.0, 0.0), np.cumsum(steps, axis=0)))
-
-
 def reconstruct_from_partial_angles(
     lengths: SideLengths,
     partial: dict[int, float],
@@ -534,24 +423,17 @@ def reconstruct_from_partial_angles(
 
     pos = np.full((n, 2), np.nan)
     pos[n - 1] = (0.0, 0.0)
-    pos[0] = (ell[0], 0.0)
-    # forward along the frame subchain: vertices 1..q
-    h = 0.0
-    for i in range(0, q):
-        h += partial[i]
-        pos[i + 1] = pos[i] + ell[i + 1] * np.array([math.cos(h), math.sin(h)])
+    # forward along the frame subchain: vertices 0..q
+    pos[: q + 1] = chain_vertices(ell[: q + 1], [partial[i] for i in range(q)])
     # backward from the origin corner: vertices n-2..s
     h = 0.0
     for i in range(n - 1, s, -1):
         h -= partial[i]
         pos[i - 1] = pos[i] - ell[i] * np.array([math.cos(h), math.sin(h)])
 
-    mid1 = _lay_subchain(
-        ell[q + 1 : r + 1], np.array([partial[i] for i in range(q + 1, r)])
-    )
-    mid2 = _lay_subchain(
-        ell[r + 1 : s + 1], np.array([partial[i] for i in range(r + 1, s)])
-    )
+    # the two middle subchains, each laid out from its first vertex
+    mid1 = chain_vertices(ell[q + 1 : r + 1], [partial[i] for i in range(q + 1, r)])
+    mid2 = chain_vertices(ell[r + 1 : s + 1], [partial[i] for i in range(r + 1, s)])
     d_qr = float(math.hypot(*mid1[-1]))
     d_rs = float(math.hypot(*mid2[-1]))
 
@@ -583,6 +465,6 @@ def reconstruct_from_partial_angles(
         c, si = math.cos(phi), math.sin(phi)
         rot = np.array([[c, -si], [si, c]])
         for i in range(a + 1, b):
-            pos[i] = pos[a] + rot @ local[i - a]
+            pos[i] = pos[a] + rot @ local[i - a - 1]
 
     return PolygonChain(pos)

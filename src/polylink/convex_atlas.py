@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_geometry import (
+    TAU,
     PolygonChain,
     SideLengths,
+    chain_vertices,
     circle_circle_intersection,
     turn_angles_from_vertices,
 )
 from .config_space import is_generic
-
-TAU = 2.0 * math.pi
 
 ANGLE_SLACK = 1e-9  # tolerance below 0 / above pi for convexity checks
 FLAT_TOL = 1e-7  # |turn| below this counts as a flat vertex in witnesses
@@ -100,15 +100,6 @@ def _as_prefix(alpha) -> np.ndarray:
     return AnglePrefix(arr).alpha
 
 
-def _prefix_positions(ell: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Vertices 0..K-1 of the pinned prefix chain (K = len(alpha) + 1)."""
-    headings = np.concatenate(([0.0], np.cumsum(alpha)))
-    steps = ell[: alpha.size + 1, None] * np.column_stack(
-        (np.cos(headings), np.sin(headings))
-    )
-    return np.cumsum(steps, axis=0)
-
-
 def _angles_ok(theta: np.ndarray, skip: int | None = None) -> bool:
     """All turn angles convex (in [0, pi) within slack), optionally not
     judging the angle at index ``skip``."""
@@ -145,7 +136,7 @@ def _min_candidates(ell: np.ndarray, alpha: np.ndarray) -> list[PolygonChain]:
     """
     n = ell.size
     K = alpha.size + 1
-    P = _prefix_positions(ell, alpha)
+    P = chain_vertices(ell[:K], alpha)  # vertices 0..K-1 of the pinned prefix
     pk = P[-1]
     r1 = float(ell[K])
     tail = float(ell[K + 1 :].sum())
@@ -250,7 +241,7 @@ def max_turn_angle(
     if K > n - 2:
         raise PrefixError("no free tail left to stretch at this level")
     ell = lengths.lengths
-    P = _prefix_positions(ell, alpha)
+    P = chain_vertices(ell[:K], alpha)  # vertices 0..K-1 of the pinned prefix
     pk = P[-1]
 
     best: tuple[float, int, PolygonChain] | None = None

@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_geometry import (
+    TAU,
     PolygonChain,
     SideLengths,
+    embedded_mask,
     normalize_angle,
     turn_angles_from_vertices,
     vertices_from_turn_angles,
 )
-
-TAU = 2.0 * math.pi
 
 # exp(-1/x^2) < 1e-4343 below this; sub-denormal, treated as exactly zero
 BUMP_CUTOFF = 0.01
@@ -227,6 +227,17 @@ def closure_jacobian(verts: np.ndarray) -> np.ndarray:
     return _rot90(arms).T
 
 
+def _swing_gradient(verts: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
+    """dF/dtheta_m from dF/d(vertex): every vertex past m swings about
+    vertex m."""
+    n = verts.shape[0]
+    dF = np.zeros(n - 1)
+    for m in range(n - 1):
+        arms = _rot90(verts[m + 1 :] - verts[m])
+        dF[m] = float(np.sum(vgrad[m + 1 :] * arms))
+    return dF
+
+
 def project_tangent(grad: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Remove the closure-normal component (least squares in the 2x2
     normal equations)."""
@@ -257,26 +268,18 @@ def energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> EnergyGradie
     the downstream arm) and through the dependent last angle in the bump
     sum.  ``projected_gradient`` is tangent to the closure constraint.
     """
-    from .config_space import classify  # local import: avoids a cycle
-
     free = coords.free_angles
-    n = coords.n
     chain, defect = coords.chain(lengths)
     if defect > 1e-6 * lengths.perimeter:
         raise ValueError("coordinates are far off the closure manifold")
-    if not classify(chain).embedded:
-        raise ValueError("energy gradient requires an embedded configuration")
     verts = chain.vertices
+    if not embedded_mask(verts[None])[0]:
+        raise ValueError("energy gradient requires an embedded configuration")
     theta_n = coords.dependent_angle()
 
     F, vgrad = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
     amp = sum(bump(-t) for t in free) + bump(-theta_n)
-
-    # dF/dtheta_m: every vertex past m swings about vertex m
-    dF = np.zeros(n - 1)
-    for m in range(n - 1):
-        arms = _rot90(verts[m + 1 :] - verts[m])
-        dF[m] = float(np.sum(vgrad[m + 1 :] * arms))
+    dF = _swing_gradient(verts, vgrad)
 
     d_amp = np.array(
         [-bump_derivative(-t) + bump_derivative(-theta_n) for t in free]
@@ -318,7 +321,8 @@ class LogEnergy:
     negative, -inf exactly on the convex set.
 
     ``bump_gradient`` is the bump-factor part of the gradient (the rest
-    is the gradient of log F, which acts as the contact barrier)."""
+    is the gradient of log F, which acts as the contact barrier).
+    ``chain`` is the configuration the energy was evaluated on."""
 
     log_value: float
     gradient: np.ndarray  # of log E, full
@@ -326,6 +330,7 @@ class LogEnergy:
     bump_gradient: np.ndarray
     elliptic: float
     min_turn_angle: float
+    chain: PolygonChain
 
 
 def log_energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> LogEnergy:
@@ -350,20 +355,14 @@ def log_energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> LogEnerg
 
     if log_amp == -math.inf:
         zero = np.zeros(n - 1)
-        return LogEnergy(-math.inf, zero, zero, zero, F, float(full.min()))
+        return LogEnergy(-math.inf, zero, zero, zero, F, float(full.min()), chain)
 
     # softmax weights of the active bumps
     w = np.exp(logs - log_amp)
     dlog_bump = np.where(x > 0.0, 2.0 / np.where(x > 0.0, x, 1.0) ** 3, 0.0)
     contrib = w * dlog_bump
     d_log_amp = -contrib[:-1] + contrib[-1]
-
-    dF = np.zeros(n - 1)
-    for m in range(n - 1):
-        arms = _rot90(verts[m + 1 :] - verts[m])
-        dF[m] = float(np.sum(vgrad[m + 1 :] * arms))
-
-    grad = d_log_amp + dF / F
+    grad = d_log_amp + _swing_gradient(verts, vgrad) / F
     jac = closure_jacobian(verts)
     return LogEnergy(
         log_value=log_amp + math.log(F),
@@ -372,4 +371,5 @@ def log_energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> LogEnerg
         bump_gradient=d_log_amp,
         elliptic=F,
         min_turn_angle=float(full.min()),
+        chain=chain,
     )

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain_geometry import (
+    TAU,
     PolygonChain,
     SideLengths,
     canonicalize,
@@ -35,8 +36,6 @@ from .energy import (
     log_energy_gradient,
     project_tangent,
 )
-
-TAU = 2.0 * math.pi
 
 CONVERGED = "converged_convex"
 MAX_ITERATIONS = "max_iterations"
@@ -132,13 +131,6 @@ def project_to_closure(
     )
 
 
-def _state(free: np.ndarray, lengths: SideLengths):
-    coords = ReducedCoords(free)
-    chain, _ = coords.chain(lengths)
-    le = log_energy_gradient(coords, lengths)
-    return chain, le
-
-
 def _balanced_lift_direction(
     full_angles: np.ndarray, verts: np.ndarray
 ) -> np.ndarray | None:
@@ -190,8 +182,8 @@ def _wall_sliding_direction(le, verts: np.ndarray) -> np.ndarray | None:
 
 
 def _line_search(free, direction, s_start, s_floor, le, lengths, params):
-    """Backtrack along one direction; returns (free, chain, le, step) or
-    None when no acceptable step at or above ``s_floor`` exists."""
+    """Backtrack along one direction; returns (free, le, step) or None
+    when no acceptable step at or above ``s_floor`` exists."""
     s = s_start
     while s >= s_floor:
         try:
@@ -201,12 +193,12 @@ def _line_search(free, direction, s_start, s_floor, le, lengths, params):
                 tol=params.closure_tol,
                 max_iter=params.closure_max_iter,
             )
-            cand_chain, cand_le = _state(cand, lengths)
+            cand_le = log_energy_gradient(ReducedCoords(cand), lengths)
         except (ValueError, np.linalg.LinAlgError):
             s *= params.backtrack
             continue
-        if cand_le.log_value < le.log_value and classify(cand_chain).embedded:
-            return cand, cand_chain, cand_le, s
+        if cand_le.log_value < le.log_value and classify(cand_le.chain).embedded:
+            return cand, cand_le, s
         s *= params.backtrack
     return None
 
@@ -240,7 +232,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         tol=params.closure_tol,
         max_iter=params.closure_max_iter,
     )
-    chain, le = _state(free, lengths)
+    le = log_energy_gradient(ReducedCoords(free), lengths)
 
     trace = FlowTrace(
         lengths=lengths, status=MAX_ITERATIONS, reflected=reflected, generic=generic
@@ -249,7 +241,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         FlowRecord(0, math.exp(le.log_value) if le.log_value > -math.inf else 0.0,
                    le.log_value, le.min_turn_angle, 0.0)
     )
-    trace.snapshots.append(FlowSnapshot(0, chain.vertices.copy()))
+    trace.snapshots.append(FlowSnapshot(0, le.chain.vertices.copy()))
 
     step = params.initial_step
     accepted = 0
@@ -271,24 +263,24 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         hit = _line_search(
             free, direction, step, stage1_floor, le, lengths, params
         )
-        if hit is None or hit[3] < 0.05 * params.initial_step:
+        if hit is None or hit[2] < 0.05 * params.initial_step:
             # gradient progress has collapsed (tied reflex angles in
             # lockstep, or the contact barrier); try coarser but more
             # robust directions, each only searched down to the step the
             # incumbent already achieved, and keep whichever moves farthest
             full = np.append(free, ReducedCoords(free).dependent_angle())
             for alt_dir in (
-                _balanced_lift_direction(full, chain.vertices),
-                _wall_sliding_direction(le, chain.vertices),
+                _balanced_lift_direction(full, le.chain.vertices),
+                _wall_sliding_direction(le, le.chain.vertices),
             ):
                 if alt_dir is None:
                     continue
-                floor = params.min_step if hit is None else 2.0 * hit[3]
+                floor = params.min_step if hit is None else 2.0 * hit[2]
                 alt = _line_search(
                     free, alt_dir, params.initial_step, floor,
                     le, lengths, params,
                 )
-                if alt is not None and (hit is None or alt[3] > hit[3]):
+                if alt is not None and (hit is None or alt[2] > hit[2]):
                     hit = alt
         if hit is None:
             # exhaust the plain direction before declaring a stall
@@ -305,7 +297,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
             trace.status = STALLED
             break
 
-        free, chain, le, step = hit
+        free, le, step = hit
         accepted += 1
         trace.records.append(
             FlowRecord(
@@ -317,7 +309,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
             )
         )
         if accepted % params.snapshot_stride == 0:
-            trace.snapshots.append(FlowSnapshot(accepted, chain.vertices.copy()))
+            trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
             last_snap = accepted
     else:
         # budget exhausted; the last step may still have reached convexity
@@ -328,7 +320,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         )
 
     if accepted != last_snap:
-        trace.snapshots.append(FlowSnapshot(accepted, chain.vertices.copy()))
+        trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
     return trace
 
 
@@ -359,7 +351,7 @@ def reverse_flow_step(
         tol=params.closure_tol,
         max_iter=params.closure_max_iter,
     )
-    _, le = _state(free, lengths)
+    le = log_energy_gradient(ReducedCoords(free), lengths)
     if le.log_value == -math.inf:
         raise ValueError("zero gradient: no ascent direction from a convex interior")
     direction = le.projected_gradient
@@ -383,15 +375,15 @@ def reverse_flow_step(
                 tol=params.closure_tol,
                 max_iter=params.closure_max_iter,
             )
-            cand_chain, cand_le = _state(cand, lengths)
+            cand_le = log_energy_gradient(ReducedCoords(cand), lengths)
         except (ValueError, np.linalg.LinAlgError):
             step *= params.backtrack
             continue
         if (
             cand_le.log_value > le.log_value
             and cand_le.log_value <= log_cap
-            and classify(cand_chain).embedded
+            and classify(cand_le.chain).embedded
         ):
-            return cand_chain
+            return cand_le.chain
         step *= params.backtrack
     raise ValueError("no acceptable ascent step above the step floor")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import polylink as pl
+from polylink.chain_geometry import embedded_mask
 
-from conftest import random_embedded_ccw, random_generic_lengths
+from conftest import random_embedded_ccw, random_generic_lengths, star_polygon
 
 TAU = 2.0 * math.pi
 
@@ -277,3 +279,125 @@ def test_generic_lengths_sampler_is_generic():
         lengths = random_generic_lengths(n, rng)
         assert pl.is_generic(lengths)
         assert pl.is_feasible(lengths)
+
+
+# --- property tests: one embeddedness answer on every path -----------------
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+DEGENERACIES = ("random", "star", "lattice", "fold", "near_contact", "tiny_edge")
+
+
+def _nonzero_edges(v: np.ndarray) -> bool:
+    e = v - np.roll(v, 1, axis=0)
+    lens = np.hypot(e[:, 0], e[:, 1])
+    return bool(lens.min() > 1e-14 * lens.max())
+
+
+@st.composite
+def vertex_cycles(draw, kinds=DEGENERACIES):
+    """Vertex cycles of 4..12 points, random or close to a degeneracy."""
+    n = draw(st.integers(4, 12))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        v = rng.normal(size=(n, 2))
+    elif kind == "star":
+        v = star_polygon(n, rng).vertices
+    elif kind == "lattice":
+        # small integer coordinates: exact vertex-edge touches and
+        # collinear overlaps
+        v = rng.integers(-2, 3, (n, 2)).astype(float)
+        while not _nonzero_edges(v):
+            v = rng.integers(-2, 3, (n, 2)).astype(float)
+    elif kind == "fold":
+        # a turn of exactly pi at one vertex
+        theta = rng.uniform(-math.pi, math.pi, n)
+        theta[rng.integers(0, n - 1)] = math.pi
+        ell = pl.SideLengths(rng.uniform(0.5, 1.5, n))
+        v = pl.vertices_from_turn_angles(ell, theta)[0].vertices
+    elif kind == "near_contact":
+        # a vertex within 1e-10 * scale of a non-incident edge, either side
+        v = star_polygon(n, rng).vertices.copy()
+        i = int(rng.integers(0, n))
+        j = (i + 1 + int(rng.integers(0, n - 2))) % n
+        a, b = v[i - 1], v[i]
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(b - a))
+        offset = draw(st.floats(-1e-10, 1e-10)) * np.abs(v).max()
+        v[j] = a + rng.uniform(0.0, 1.0) * (b - a) + offset * normal
+    else:
+        # one edge down to 1e-4 of the scale
+        v = star_polygon(n, rng).vertices.copy()
+        k = int(rng.integers(0, n))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        ratio = 10.0 ** draw(st.floats(-4.0, -1.0))
+        v[k] = v[k - 1] + ratio * np.abs(v).max() * np.array([math.cos(phi), math.sin(phi)])
+    assume(_nonzero_edges(v))
+    return v
+
+
+def _pairwise_embedded(v: np.ndarray) -> bool:
+    """Reference: classify every edge pair with segment_intersection, whose
+    tolerance is set per pair."""
+    n = v.shape[0]
+    segs = [(v[i - 1], v[i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel = pl.segment_intersection(segs[i], segs[j])
+            if j == i + 1 or (i == 0 and j == n - 1):
+                if rel is pl.SegmentRelation.OVERLAP:
+                    return False
+            elif rel is not pl.SegmentRelation.DISJOINT:
+                return False
+    return True
+
+
+class TestOneEmbeddednessAnswer:
+    @PROPERTY
+    @given(vertex_cycles(kinds=("random", "star", "lattice")))
+    def test_matches_pairwise_reference(self, v):
+        # per-pair and per-chain tolerances only differ within ORIENT_EPS of
+        # a contact, which these inputs either hit exactly or stay clear of
+        assert embedded_mask(v[None])[0] == _pairwise_embedded(v)
+
+    @PROPERTY
+    @given(vertex_cycles(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_classify_matches_batch_row(self, v, pos, seed):
+        n = v.shape[0]
+        others = np.random.default_rng(seed).normal(size=(6, n, 2))
+        batch = np.insert(others, pos, v, axis=0)
+        assert pl.classify(pl.PolygonChain(v)).embedded == embedded_mask(batch)[pos]
+
+    @PROPERTY
+    @given(vertex_cycles(), st.integers(1, 11), st.integers(-30, 30))
+    def test_exact_symmetries(self, v, shift, power):
+        # rotation and translation are left out: the tolerance follows the
+        # largest absolute coordinate, which they change
+        embedded = pl.classify(pl.PolygonChain(v)).embedded
+        relabelled = pl.PolygonChain(np.roll(v, shift, axis=0))
+        mirrored = pl.reflect_x(pl.PolygonChain(v))
+        rescaled = pl.PolygonChain(v * 2.0**power)
+        for chain in (relabelled, mirrored, rescaled):
+            assert pl.classify(chain).embedded == embedded
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(1, 1, 1, 1), (6, 4, 2, 4)]),
+        st.integers(3, 400),
+        st.one_of(st.none(), st.floats(1e-9, 0.1)),
+    )
+    def test_near_fold_sweep_matches_classify(self, ell, grid, width):
+        windows = None if width is None else [(math.pi - width, math.pi)]
+        s = pl.enumerate_configurations(pl.SideLengths(ell), grid, windows=windows)
+        assert len(s) > 0
+        for i in range(len(s)):
+            assert pl.classify(s.chain(i)).embedded == s.embedded[i]
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(4, 6), st.integers(0, 2**32 - 1))
+    def test_convexify_snapshots_pass_batch_predicate(self, n, seed):
+        chain = random_embedded_ccw(n, np.random.default_rng(seed), require_nonconvex=True)
+        trace = pl.convexify(chain, pl.FlowParams(snapshot_stride=1))
+        verts = np.stack([snap.vertices for snap in trace.snapshots])
+        assert len(verts) == trace.accepted_steps + 1
+        assert embedded_mask(verts).all()
