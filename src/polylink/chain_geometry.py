@@ -387,15 +387,21 @@ def embedded_mask(verts: np.ndarray) -> np.ndarray:
     A chain is embedded when no two non-adjacent edges meet at all
     (crossing, touching or overlapping) and no vertex folds its two edges
     back onto each other.  The tolerance is set per chain, not per edge
-    pair: with ``s`` the chain's largest absolute coordinate, orientation
-    signs within ``ORIENT_EPS * s**2`` count as zero and the on-segment
-    box tests are padded by ``ORIENT_EPS * s``.  Chains built from the
-    same turn angles therefore get the same answer in a batch of one
-    (:func:`~polylink.config_space.classify`) and in a grid sweep.
+    pair: with ``s`` the chain's longest edge (its largest coordinate
+    difference), orientation signs within ``ORIENT_EPS * s**2`` count as
+    zero and the on-segment box tests are padded by ``ORIENT_EPS * s``.
+    Chains built from the same turn angles therefore get the same answer
+    in a batch of one (:func:`~polylink.config_space.classify`) and in a
+    grid sweep, and ``s`` does not change under translation, cyclic
+    relabelling, mirroring or power-of-two rescaling.
     """
-    scale = np.maximum(np.abs(verts).max(axis=(1, 2)), 1e-300)[:, None]
+    e, cross, dot = _edge_products(verts)
+    scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1e-300)[:, None]
     eps = ORIENT_EPS * scale * scale
     pad = (ORIENT_EPS * scale)[..., None]
+    # adjacent fold-back: collinear with opposite direction
+    fold = ((np.abs(cross) <= eps) & (dot < 0.0)).any(axis=1)
+    del e, cross, dot  # free the edge arrays before the larger pair arrays
     i, j = _edge_pairs(verts.shape[1])
     prev = np.roll(verts, 1, axis=1)
     a, b = prev[:, i], verts[:, i]
@@ -419,11 +425,7 @@ def embedded_mask(verts: np.ndarray) -> np.ndarray:
     contact |= (o2 == 0) & on_seg(a, b, d)
     contact |= (o3 == 0) & on_seg(c, d, a)
     contact |= (o4 == 0) & on_seg(c, d, b)
-
-    # adjacent fold-back: collinear with opposite direction
-    _, cross, dot = _edge_products(verts)
-    fold = (np.abs(cross) <= eps) & (dot < 0.0)
-    return ~contact.any(axis=1) & ~fold.any(axis=1)
+    return ~contact.any(axis=1) & ~fold
 
 
 def reflect_x(chain: PolygonChain) -> PolygonChain:

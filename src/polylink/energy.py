@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,77 +73,56 @@ def log_bump(x: float) -> float:
     return -1.0 / (x * x)
 
 
-def _elliptic_terms(verts: np.ndarray, anchor: np.ndarray):
-    """Edge endpoint arrays and excluded vertex indices for the pair sum.
+@lru_cache(maxsize=64)
+def _pair_mask(n: int) -> np.ndarray:
+    """(n, n) mask of the (edge i, vertex j) pairs in the energy sum: every
+    vertex except ``(i-1) % n`` and ``i``, the endpoints of edge i."""
+    mask = ~np.eye(n, dtype=bool)
+    mask[np.arange(n), np.arange(n) - 1] = False
+    mask.flags.writeable = False
+    return mask
 
-    Edge i runs from A[i] to B[i]; its excluded vertices are ``(i-1) % n``
-    and ``i``.  ``anchor`` is the start point of edge 0 (the stored last
-    vertex for a closed chain, the exact origin for the smooth extension
-    used in gradient work).
+
+def _elliptic_pairs(verts: np.ndarray, anchor: np.ndarray):
+    """Vectors from both endpoints of every edge to every vertex, their
+    lengths, and the pair denominators, all indexed (edge i, vertex j).
+
+    Edge i runs from ``verts[i-1]`` to ``verts[i]``; ``anchor`` is the start
+    point of edge 0 (the stored last vertex for a closed chain, the exact
+    origin for the smooth extension used in gradient work).  Denominators
+    off the pair mask are ``inf``, so their terms vanish.
     """
-    n = verts.shape[0]
-    A = np.vstack((anchor, verts[:-1]))
-    B = verts
-    return n, A, B
+    starts = np.vstack((anchor, verts[:-1]))
+    to_a = verts[None, :, :] - starts[:, None, :]
+    to_b = verts[None, :, :] - verts[:, None, :]
+    da = np.hypot(to_a[..., 0], to_a[..., 1])
+    db = np.hypot(to_b[..., 0], to_b[..., 1])
+    lab = np.diagonal(da)  # da[i, i] = |verts[i] - starts[i]|
+    den = np.where(_pair_mask(verts.shape[0]), da + db - lab[:, None], np.inf)
+    if (den <= 0.0).any():
+        raise ValueError("vertex lies on a non-incident edge: energy undefined")
+    return to_a, to_b, da, db, den
 
 
 def _elliptic_value(verts: np.ndarray, anchor: np.ndarray) -> float:
-    n, A, B = _elliptic_terms(verts, anchor)
-    total = 0.0
-    for i in range(n):
-        a, b = A[i], B[i]
-        lab = math.hypot(b[0] - a[0], b[1] - a[1])
-        skip = ((i - 1) % n, i)
-        for j in range(n):
-            if j in skip:
-                continue
-            v = verts[j]
-            den = (
-                math.hypot(v[0] - a[0], v[1] - a[1])
-                + math.hypot(v[0] - b[0], v[1] - b[1])
-                - lab
-            )
-            if den <= 0.0:
-                raise ValueError(
-                    "vertex lies on a non-incident edge: energy undefined"
-                )
-            total += 1.0 / (den * den)
-    return total
+    den = _elliptic_pairs(verts, anchor)[-1]
+    return float(np.sum(1.0 / (den * den)))
 
 
 def _elliptic_value_and_vertex_grad(verts: np.ndarray, anchor: np.ndarray):
     """Energy F and dF/d(vertex) for every vertex; anchor is constant."""
-    n, A, B = _elliptic_terms(verts, anchor)
-    grad = np.zeros_like(verts)
-    total = 0.0
-    for i in range(n):
-        a, b = A[i], B[i]
-        ab = b - a
-        lab = math.hypot(ab[0], ab[1])
-        e_hat = ab / lab
-        skip = ((i - 1) % n, i)
-        for j in range(n):
-            if j in skip:
-                continue
-            v = verts[j]
-            va = v - a
-            vb = v - b
-            da = math.hypot(va[0], va[1])
-            db = math.hypot(vb[0], vb[1])
-            den = da + db - lab
-            if den <= 0.0:
-                raise ValueError(
-                    "vertex lies on a non-incident edge: energy undefined"
-                )
-            total += 1.0 / (den * den)
-            w = -2.0 / (den * den * den)
-            ua = va / da
-            ub = vb / db
-            grad[j] += w * (ua + ub)
-            if i >= 1:
-                grad[i - 1] += w * (-ua + e_hat)
-            grad[i] += w * (-ub - e_hat)
-    return total, grad
+    to_a, to_b, da, db, den = _elliptic_pairs(verts, anchor)
+    mask = _pair_mask(verts.shape[0])
+    inv = 1.0 / (den * den)
+    w = -2.0 * inv / den  # d(term)/d(den); zero off the mask
+    pa = np.divide(w, da, out=np.zeros_like(w), where=mask)[..., None] * to_a
+    pb = np.divide(w, db, out=np.zeros_like(w), where=mask)[..., None] * to_b
+    e_hat = np.diagonal(to_a).T / np.diagonal(da)[:, None]  # edge i direction
+    we = w.sum(axis=1)[:, None] * e_hat
+    # each term moves with its vertex j and with both endpoints of edge i
+    grad = (pa + pb).sum(axis=0) - pb.sum(axis=1) - we
+    grad[:-1] += we[1:] - pa[1:].sum(axis=1)
+    return float(np.sum(inv)), grad
 
 
 def elliptic_energy(chain: PolygonChain) -> float:
@@ -228,14 +208,14 @@ def closure_jacobian(verts: np.ndarray) -> np.ndarray:
 
 
 def _swing_gradient(verts: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
-    """dF/dtheta_m from dF/d(vertex): every vertex past m swings about
-    vertex m."""
-    n = verts.shape[0]
-    dF = np.zeros(n - 1)
-    for m in range(n - 1):
-        arms = _rot90(verts[m + 1 :] - verts[m])
-        dF[m] = float(np.sum(vgrad[m + 1 :] * arms))
-    return dF
+    """dF/dtheta_m from dF/d(vertex): every vertex k > m swings about
+    vertex m, so dF/dtheta_m = sum_{k>m} (v_k - v_m) x g_k, which is
+    ``C[m+1] - v_m x G[m+1]`` with the suffix sums ``G[m] = sum_{k>=m} g_k``
+    and ``C[m] = sum_{k>=m} v_k x g_k``."""
+    cross = verts[:, 0] * vgrad[:, 1] - verts[:, 1] * vgrad[:, 0]
+    C = np.cumsum(cross[::-1])[::-1]
+    G = np.cumsum(vgrad[::-1], axis=0)[::-1]
+    return C[1:] - (verts[:-1, 0] * G[1:, 1] - verts[:-1, 1] * G[1:, 0])
 
 
 def project_tangent(grad: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -333,17 +313,25 @@ class LogEnergy:
     chain: PolygonChain
 
 
-def log_energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> LogEnergy:
+def log_energy_gradient(
+    coords: ReducedCoords,
+    lengths: SideLengths,
+    *,
+    chain: PolygonChain | None = None,
+) -> LogEnergy:
     """Log of the exact-math modified energy with its gradient.
 
     ``grad log E = grad A / A + grad F / F`` where the first term is a
     softmax-weighted combination of the bump log-derivatives ``2/x^3``.
     Representable in doubles for reflex angles arbitrarily close to zero,
-    unlike E itself.
+    unlike E itself.  ``chain``, when given, must be ``coords.chain(lengths)``
+    already built by the caller (the closure projection builds it at its
+    last Newton check); it is used instead of building it again.
     """
     free = coords.free_angles
     n = coords.n
-    chain, _ = coords.chain(lengths)
+    if chain is None:
+        chain, _ = coords.chain(lengths)
     verts = chain.vertices
     theta_n = coords.dependent_angle()
     full = np.append(free, theta_n)

@@ -87,9 +87,14 @@ class FlowTrace:
     lengths: SideLengths
     status: str
     reflected: bool
-    generic: bool
     records: list[FlowRecord] = field(default_factory=list)
     snapshots: list[FlowSnapshot] = field(default_factory=list)
+
+    @property
+    def generic(self) -> bool:
+        """Whether the side lengths are generic; decided when read, because
+        the flow never needs it and the exact check grows as 2^n."""
+        return is_generic(self.lengths)
 
     @property
     def accepted_steps(self) -> int:
@@ -105,12 +110,17 @@ def project_to_closure(
     lengths: SideLengths,
     tol: float = 1e-12,
     max_iter: int = 50,
-) -> np.ndarray:
+    *,
+    return_chain: bool = False,
+):
     """Gauss-Newton solve of the two closure equations in free angles.
 
     Each step is the minimum-norm correction of the closure defect, so the
     projection moves the input as little as possible.  Requires the
-    initial defect to be below a tenth of the perimeter.
+    initial defect to be below a tenth of the perimeter.  Returns the
+    projected free angles, or with ``return_chain`` the pair ``(free,
+    chain)`` where ``chain`` is the closed configuration the last Newton
+    check built from them.
     """
     free = np.asarray(free_angles, dtype=float).copy()
     chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
@@ -118,7 +128,7 @@ def project_to_closure(
         raise ValueError("closure defect too large for Newton projection")
     for _ in range(max_iter):
         if defect <= tol:
-            return free
+            return (free, chain) if return_chain else free
         verts = chain.vertices
         jac = closure_jacobian(verts)
         jjt = jac @ jac.T
@@ -187,13 +197,14 @@ def _line_search(free, direction, s_start, s_floor, le, lengths, params):
     s = s_start
     while s >= s_floor:
         try:
-            cand = project_to_closure(
+            cand, chain = project_to_closure(
                 free + s * direction,
                 lengths,
                 tol=params.closure_tol,
                 max_iter=params.closure_max_iter,
+                return_chain=True,
             )
-            cand_le = log_energy_gradient(ReducedCoords(cand), lengths)
+            cand_le = log_energy_gradient(ReducedCoords(cand), lengths, chain=chain)
         except (ValueError, np.linalg.LinAlgError):
             s *= params.backtrack
             continue
@@ -224,19 +235,17 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         raise ValueError("embedded polygon must wind by +-2*pi")
     chain = canonicalize(chain)
     lengths = chain.side_lengths()
-    generic = is_generic(lengths)
 
-    free = project_to_closure(
+    free, chain = project_to_closure(
         ReducedCoords.from_chain(chain).free_angles,
         lengths,
         tol=params.closure_tol,
         max_iter=params.closure_max_iter,
+        return_chain=True,
     )
-    le = log_energy_gradient(ReducedCoords(free), lengths)
+    le = log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
 
-    trace = FlowTrace(
-        lengths=lengths, status=MAX_ITERATIONS, reflected=reflected, generic=generic
-    )
+    trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
     trace.records.append(
         FlowRecord(0, math.exp(le.log_value) if le.log_value > -math.inf else 0.0,
                    le.log_value, le.min_turn_angle, 0.0)
@@ -345,13 +354,14 @@ def reverse_flow_step(
         raise ValueError("reverse step expects a counterclockwise polygon")
     chain = canonicalize(chain)
     lengths = chain.side_lengths()
-    free = project_to_closure(
+    free, chain = project_to_closure(
         ReducedCoords.from_chain(chain).free_angles,
         lengths,
         tol=params.closure_tol,
         max_iter=params.closure_max_iter,
+        return_chain=True,
     )
-    le = log_energy_gradient(ReducedCoords(free), lengths)
+    le = log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
     if le.log_value == -math.inf:
         raise ValueError("zero gradient: no ascent direction from a convex interior")
     direction = le.projected_gradient
@@ -369,13 +379,14 @@ def reverse_flow_step(
     step = params.initial_step
     while step >= params.min_step:
         try:
-            cand = project_to_closure(
+            cand, chain = project_to_closure(
                 free + step * direction,
                 lengths,
                 tol=params.closure_tol,
                 max_iter=params.closure_max_iter,
+                return_chain=True,
             )
-            cand_le = log_energy_gradient(ReducedCoords(cand), lengths)
+            cand_le = log_energy_gradient(ReducedCoords(cand), lengths, chain=chain)
         except (ValueError, np.linalg.LinAlgError):
             step *= params.backtrack
             continue

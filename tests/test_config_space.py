@@ -288,6 +288,9 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 DEGENERACIES = ("random", "star", "lattice", "fold", "near_contact", "tiny_edge")
 
 
+LARGE_OFFSET = st.floats(1e3, 1e6) | st.floats(-1e6, -1e3)
+
+
 def _nonzero_edges(v: np.ndarray) -> bool:
     e = v - np.roll(v, 1, axis=0)
     lens = np.hypot(e[:, 0], e[:, 1])
@@ -369,16 +372,36 @@ class TestOneEmbeddednessAnswer:
         assert pl.classify(pl.PolygonChain(v)).embedded == embedded_mask(batch)[pos]
 
     @PROPERTY
-    @given(vertex_cycles(), st.integers(1, 11), st.integers(-30, 30))
-    def test_exact_symmetries(self, v, shift, power):
-        # rotation and translation are left out: the tolerance follows the
-        # largest absolute coordinate, which they change
+    @given(
+        vertex_cycles(),
+        st.integers(1, 11),
+        st.integers(-30, 30),
+        st.tuples(LARGE_OFFSET, LARGE_OFFSET),
+    )
+    def test_exact_symmetries(self, v, shift, power, offset):
+        # rotation is left out: the tolerance follows the longest edge's
+        # largest coordinate difference, which rotation changes
         embedded = pl.classify(pl.PolygonChain(v)).embedded
         relabelled = pl.PolygonChain(np.roll(v, shift, axis=0))
         mirrored = pl.reflect_x(pl.PolygonChain(v))
         rescaled = pl.PolygonChain(v * 2.0**power)
         for chain in (relabelled, mirrored, rescaled):
             assert pl.classify(chain).embedded == embedded
+        # far from the origin: v + offset rounds v to the offset's ulp, but
+        # (v + offset) - offset is exact (Sterbenz), so the shifted chain is
+        # an exact translate of that rounded chain; their edge vectors,
+        # orientation values and tolerances are bit-equal (only the box pad,
+        # added in absolute coordinates, can round differently)
+        shifted = v + np.array(offset)
+        rounded = pl.PolygonChain(shifted - np.array(offset))
+        assert pl.classify(pl.PolygonChain(shifted)).embedded == pl.classify(rounded).embedded
+
+    def test_translated_near_contact_pentagon(self):
+        # the reflex vertex sits 1e-8 above the bottom edge; a tolerance
+        # scaled by absolute coordinates called this a contact at (1e4, 1e4)
+        v = np.array([[0.0, 0], [4, 0], [4, 3], [2, 1e-8], [0, 3]])
+        for shift in (0.0, 1e4, -1e4):
+            assert pl.classify(pl.PolygonChain(v + shift)).embedded
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import polylink as pl
-from polylink.energy import closure_jacobian
+from polylink.energy import (
+    _elliptic_value,
+    _elliptic_value_and_vertex_grad,
+    _swing_gradient,
+    closure_jacobian,
+)
 
-from conftest import random_embedded_ccw
+from conftest import random_embedded_ccw, star_polygon
 
 TAU = 2.0 * math.pi
 
@@ -54,6 +59,105 @@ class TestEllipticEnergy:
         verts = np.array([[1.0, 0], [1, 1], [0.5, 0.0], [0, 1], [0, 0]])
         with pytest.raises(ValueError, match="non-incident edge"):
             pl.elliptic_energy(pl.PolygonChain(verts))
+
+
+def _loop_elliptic(verts, anchor):
+    """Reference: F and dF/d(vertex) pair by pair, edge i from verts[i-1]
+    (``anchor`` for i = 0) to verts[i], vertices i-1 and i skipped."""
+    n = verts.shape[0]
+    starts = np.vstack((anchor, verts[:-1]))
+    grad = np.zeros_like(verts)
+    total = 0.0
+    for i in range(n):
+        a, b = starts[i], verts[i]
+        lab = math.hypot(*(b - a))
+        e_hat = (b - a) / lab
+        for j in range(n):
+            if j in ((i - 1) % n, i):
+                continue
+            va, vb = verts[j] - a, verts[j] - b
+            da, db = math.hypot(*va), math.hypot(*vb)
+            den = da + db - lab
+            total += 1.0 / (den * den)
+            w = -2.0 / (den * den * den)
+            grad[j] += w * (va / da + vb / db)
+            if i >= 1:
+                grad[i - 1] += w * (-va / da + e_hat)
+            grad[i] += w * (-vb / db - e_hat)
+    return total, grad
+
+
+def _nonconvex_star(n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        chain = star_polygon(n, rng)
+        if (
+            pl.classify(chain).embedded
+            and pl.turn_angles_from_vertices(chain).angles.min() < -0.2
+        ):
+            return chain
+
+
+class TestEllipticKernel:
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_matches_pairwise_loop(self, n):
+        chain = _nonconvex_star(n, n)
+        lengths = chain.side_lengths()
+        free = pl.ReducedCoords.from_chain(chain).free_angles
+        # closed chain (anchor = last vertex) and the off-manifold
+        # extension of the gradient work (anchor = origin, last vertex off it)
+        off = pl.ReducedCoords(free + 1e-3).chain(lengths)[0].vertices
+        for verts, anchor in ((chain.vertices, chain.vertices[-1]), (off, np.zeros(2))):
+            F_ref, g_ref = _loop_elliptic(verts, anchor)
+            F, g = _elliptic_value_and_vertex_grad(verts, anchor)
+            assert F == pytest.approx(F_ref, rel=1e-12, abs=0)
+            assert _elliptic_value(verts, anchor) == F
+            assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_swing_gradient_matches_definition(self, n):
+        # dF/dtheta_m = sum over k > m of g_k . rot90(v_k - v_m)
+        rng = np.random.default_rng(100 + n)
+        verts = _nonconvex_star(n, n).vertices
+        vgrad = rng.normal(size=(n, 2))
+        ref = np.array([
+            sum(
+                g[1] * d[0] - g[0] * d[1]
+                for g, d in zip(vgrad[m + 1 :], verts[m + 1 :] - verts[m])
+            )
+            for m in range(n - 1)
+        ])
+        got = _swing_gradient(verts, vgrad)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_analytic_gradient_matches_fd_at_n32(self):
+        chain = _nonconvex_star(32, 32)
+        lengths = chain.side_lengths()
+        coords = pl.ReducedCoords.from_chain(chain)
+        g = pl.energy_gradient(coords, lengths)
+        fd = pl.finite_difference_gradient(coords, lengths, 1e-6)
+        assert np.linalg.norm(g.gradient - fd) < 1e-5 * np.linalg.norm(fd)
+
+    def test_contact_raises_on_every_entry_point(self):
+        # a vertex exactly at the midpoint of the bottom edge
+        notch = np.array([[1.0, 0], [1, 1], [0.5, 0.0], [0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="non-incident edge"):
+            pl.elliptic_energy(pl.PolygonChain(notch))
+        # a turn of exactly pi at vertex 0 puts vertex 1 on edge 0
+        free = np.array([math.pi, -0.5, 1.0, 1.0])
+        with pytest.raises(ValueError, match="non-incident edge"):
+            pl.energy_of_free_angles(free, pl.SideLengths([2, 1, 1, 1, 1]))
+
+    def test_given_chain_matches_rebuilt(self, pentagon_fixture):
+        lengths = pentagon_fixture.side_lengths()
+        free = pl.ReducedCoords.from_chain(pentagon_fixture).free_angles
+        free, chain = pl.project_to_closure(free, lengths, return_chain=True)
+        coords = pl.ReducedCoords(free)
+        assert np.array_equal(chain.vertices, coords.chain(lengths)[0].vertices)
+        a = pl.log_energy_gradient(coords, lengths)
+        b = pl.log_energy_gradient(coords, lengths, chain=chain)
+        assert a.log_value == b.log_value
+        assert np.array_equal(a.gradient, b.gradient)
 
 
 class TestBump:

@@ -74,6 +74,18 @@ class TestConvexify:
             stored["initial_log_energy"]
         )
 
+    def test_31_gon_converges(self):
+        # above the exhaustive genericity limit (n <= 30): the flow never
+        # needs genericity, so it must not decide it
+        chain = random_embedded_ccw(31, np.random.default_rng(0), require_nonconvex=True)
+        lengths = chain.side_lengths()
+        trace = pl.convexify(chain)
+        assert trace.status == pl.CONVERGED
+        for snap in trace.snapshots:
+            snap_chain = pl.PolygonChain(snap.vertices)
+            assert pl.classify(snap_chain).embedded
+            assert np.max(np.abs(snap_chain.edge_lengths() - lengths.lengths)) < 1e-9
+
     def test_non_embedded_rejected(self):
         bow = pl.PolygonChain(np.array([[0.0, 0], [2, 2], [2, 0], [0, 2]]))
         with pytest.raises(ValueError, match="embedded"):
