@@ -128,7 +128,7 @@ class PolygonChain:
 
     def edges(self) -> np.ndarray:
         """Edge vectors; row i is edge i (into vertex i)."""
-        return self.vertices - np.roll(self.vertices, 1, axis=0)
+        return self.vertices - _cyclic_prev(self.vertices)
 
     def edge_lengths(self) -> np.ndarray:
         return np.hypot(*self.edges().T)
@@ -198,11 +198,17 @@ def vertices_from_turn_angles(
     return PolygonChain(verts), defect
 
 
+def _cyclic_prev(a: np.ndarray) -> np.ndarray:
+    """Rows of ``(..., n, 2)`` shifted one step down the cycle: row i of
+    the result is row i-1 (row 0 gets row n-1)."""
+    return np.concatenate((a[..., -1:, :], a[..., :-1, :]), axis=-2)
+
+
 def _edge_products(verts: np.ndarray):
     """Edge vectors of closed chains ``(..., n, 2)``, with the cross and dot
     product of each edge and the edge after it, shape ``(..., n)``."""
-    e = verts - np.roll(verts, 1, axis=-2)
-    nxt = np.roll(e, -1, axis=-2)  # edge leaving vertex i
+    e = verts - _cyclic_prev(verts)
+    nxt = np.concatenate((e[..., 1:, :], e[..., :1, :]), axis=-2)  # edge leaving vertex i
     cross = e[..., 0] * nxt[..., 1] - e[..., 1] * nxt[..., 0]
     dot = e[..., 0] * nxt[..., 0] + e[..., 1] * nxt[..., 1]
     return e, cross, dot
@@ -214,14 +220,21 @@ def _turn_angles(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
     return np.where(theta <= -math.pi, math.pi, theta)
 
 
-def turn_angle_array(verts: np.ndarray) -> np.ndarray:
+def turn_angle_array(verts: np.ndarray, return_degenerate: bool = False):
     """Signed turn angles of closed chains, ``(..., n, 2) -> (..., n)``.
 
     The formula of :func:`turn_angles_from_vertices`, for a stack of
-    chains and without its zero-length edge check.
+    chains.  With ``return_degenerate`` also returns, per chain, whether
+    it has an edge of length at most ``1e-14`` times its longest edge
+    (the chains :func:`turn_angles_from_vertices` rejects).
     """
-    _, cross, dot = _edge_products(verts)
-    return _turn_angles(cross, dot)
+    e, cross, dot = _edge_products(verts)
+    theta = _turn_angles(cross, dot)
+    if not return_degenerate:
+        return theta
+    lens = np.hypot(e[..., 0], e[..., 1])
+    scale = np.maximum(lens.max(axis=-1), 1e-300)
+    return theta, (lens <= 1e-14 * scale[..., None]).any(axis=-1)
 
 
 def turn_angles_from_vertices(chain: PolygonChain) -> TurnAngles:
@@ -229,12 +242,10 @@ def turn_angles_from_vertices(chain: PolygonChain) -> TurnAngles:
 
     Raises on zero-length edges, whose direction is undefined.
     """
-    e, cross, dot = _edge_products(chain.vertices)
-    lens = np.hypot(e[:, 0], e[:, 1])
-    scale = max(float(lens.max()), 1e-300)
-    if np.any(lens <= 1e-14 * scale):
+    theta, degenerate = turn_angle_array(chain.vertices, return_degenerate=True)
+    if degenerate:
         raise ValueError("zero-length edge: turn angle undefined")
-    return TurnAngles(_turn_angles(cross, dot))
+    return TurnAngles(theta)
 
 
 def canonicalize(chain: PolygonChain) -> PolygonChain:
@@ -403,7 +414,7 @@ def embedded_mask(verts: np.ndarray) -> np.ndarray:
     fold = ((np.abs(cross) <= eps) & (dot < 0.0)).any(axis=1)
     del e, cross, dot  # free the edge arrays before the larger pair arrays
     i, j = _edge_pairs(verts.shape[1])
-    prev = np.roll(verts, 1, axis=1)
+    prev = _cyclic_prev(verts)
     a, b = prev[:, i], verts[:, i]
     c, d = prev[:, j], verts[:, j]
 

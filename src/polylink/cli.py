@@ -212,12 +212,15 @@ def _trace_json(trace) -> dict:
 def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
     """Convexify an embedded polygon by energy descent."""
     chain, _ = _load_polygon(polygon_file)
-    params = FlowParams(
-        initial_step=step,
-        convexity_tol=tol,
-        max_iterations=max_iter,
-        snapshot_stride=stride,
-    )
+    try:
+        params = FlowParams(
+            initial_step=step,
+            convexity_tol=tol,
+            max_iterations=max_iter,
+            snapshot_stride=stride,
+        )
+    except ValueError as exc:
+        _fail(f"bad flow options: {exc}", EXIT_PARSE)
     try:
         trace = run_convexify(chain, params)
     except ValueError as exc:
@@ -250,28 +253,14 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
     sys.exit(EXIT_OK if trace.status == CONVERGED else EXIT_NOCONVERGE)
 
 
-@main.command()
-@click.argument("lengths_file")
-@click.option("--k", type=int, required=True)
-@click.option("--grid", type=int, default=100, show_default=True)
-@click.option("--out", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--output", type=str, default="-", show_default=True)
-def atlas(lengths_file, k, grid, fmt, output):
-    """Sample the level-k atlas of convex turn-angle prefixes."""
-    lengths = _load_lengths(lengths_file)
-    if not is_feasible(lengths):
-        click.echo(render_json({"feasible": False}))
-        sys.exit(EXIT_LENGTHS)
-    report = straight_line_sign_vectors(lengths)
-    if len(report):
-        click.echo(
-            render_json({"generic": False, "straight_line": _sign_strings(report)})
-        )
-        sys.exit(EXIT_LENGTHS)
-    if not 1 <= k <= lengths.n - 3:
-        raise click.UsageError(f"--k must lie in 1..{lengths.n - 3} for n = {lengths.n}")
+def _write_atlas(lengths, k, grid, fmt, output):
+    """Sample the atlas and write it as CSV or JSON.
 
+    A function of its own so that no frame of the command holds the
+    sample or its text when the command exits: an in-process caller that
+    keeps the ``SystemExit`` traceback (``click.testing.CliRunner``
+    results do) would otherwise keep every witness chain alive.
+    """
     sample = sample_atlas(lengths, k, grid)
     if fmt == "csv":
         header = [f"alpha_{i}" for i in range(k - 1)] + [
@@ -319,6 +308,31 @@ def atlas(lengths_file, k, grid, fmt, output):
         click.echo(text, nl=False)
     else:
         Path(output).write_text(text)
+
+
+@main.command()
+@click.argument("lengths_file")
+@click.option("--k", type=int, required=True)
+@click.option("--grid", type=int, default=100, show_default=True)
+@click.option("--out", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+              show_default=True)
+@click.option("--output", type=str, default="-", show_default=True)
+def atlas(lengths_file, k, grid, fmt, output):
+    """Sample the level-k atlas of convex turn-angle prefixes."""
+    lengths = _load_lengths(lengths_file)
+    if not is_feasible(lengths):
+        click.echo(render_json({"feasible": False}))
+        sys.exit(EXIT_LENGTHS)
+    report = straight_line_sign_vectors(lengths)
+    if len(report):
+        click.echo(
+            render_json({"generic": False, "straight_line": _sign_strings(report)})
+        )
+        sys.exit(EXIT_LENGTHS)
+    if not 1 <= k <= lengths.n - 3:
+        raise click.UsageError(f"--k must lie in 1..{lengths.n - 3} for n = {lengths.n}")
+
+    _write_atlas(lengths, k, grid, fmt, output)
     sys.exit(EXIT_OK)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -94,47 +93,143 @@ def is_feasible(lengths: SideLengths) -> bool:
     return bool(ell.max() < ell.sum() - ell.max())
 
 
-def straight_line_sign_vectors(
-    lengths: SideLengths, tolerance: float | None = None
-) -> StraightLineReport:
-    """All sign vectors with ``|sum(eps_i * l_i)| <= tolerance``.
+# Straight lines are found by meet-in-the-middle: each half of the lengths
+# holds at most 2**22 signed sums, so n <= 45.
+MAX_SIGN_HALF = 22
+MAX_SIGN_N = 2 * MAX_SIGN_HALF + 1
+MAX_LISTED = 1 << 20  # sign vectors one report may list
+_SIGN_BATCH = 1 << 16  # sums searched, and candidates expanded, at once
 
-    Candidates are prefiltered in floating point with a safety margin and
-    then confirmed in exact rational arithmetic (every finite double is a
-    ratio of integers), so the default report is exact.  The default
-    tolerance is ``1e-9`` of the perimeter.
+
+def _signed_sums(ell: np.ndarray, first: float = 0.0) -> np.ndarray:
+    """Every sum ``first + sum(eps_i * ell_i)``, in lexicographic order of
+    the signs with -1 before +1, ``ell[0]`` most significant.  Each sum is
+    added up one term at a time."""
+    sums = np.empty(1 << ell.size)
+    sums[0] = first
+    size = 1
+    for length in ell[::-1]:  # the last length doubles first: least significant
+        np.add(sums[:size], length, out=sums[size : 2 * size])
+        sums[:size] -= length
+        size *= 2
+    return sums
+
+
+def _straight_lines(lengths: SideLengths, tolerance: float | None):
+    """Yield ``(index, sign vector)`` for every ``eps`` with ``eps[0] = +1``
+    and ``|sum(eps_i * l_i)| <= tolerance``, confirmed exactly.
+
+    ``index`` is the rank of ``eps[1:]`` in lexicographic order (-1
+    before +1); the vectors come in no particular order.
     """
     n = lengths.n
-    if n > 30:
-        raise ValueError("exhaustive sign enumeration is limited to n <= 30")
+    if n > MAX_SIGN_N:
+        raise ValueError(
+            f"sign enumeration is limited to n <= {MAX_SIGN_N} "
+            f"(2**{MAX_SIGN_HALF} signed sums per half)"
+        )
     ell = lengths.lengths
     if tolerance is None:
         tolerance = 1e-9 * lengths.perimeter
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
 
-    m = n - 1
-    rest = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1) * 2 - 1
-    signs = np.column_stack((np.ones(1 << m, dtype=np.int64), rest[:, ::-1]))
-    sums = signs.astype(float) @ ell
-    # margin covers float summation error before the exact confirmation
-    margin = 16 * np.finfo(float).eps * lengths.perimeter * n
-    candidates = np.nonzero(np.abs(sums) <= tolerance + margin)[0]
+    # Half A is lengths 0..h-1 with eps[0] = +1, half B the rest; a sign
+    # vector's index is (index in A) * 2**(n-h) + (index in B).
+    h = (n + 1) // 2
+    a_sums = _signed_sums(ell[1:h], first=float(ell[0]))
+    a_order = np.argsort(a_sums)
+    a_sorted = a_sums[a_order]
+    del a_sums
+    b_sums = _signed_sums(ell[h:])
+    # search in decreasing b, so the window ends -b -+ T increase: sorted
+    # search keys let searchsorted reuse the previous position
+    b_order = np.argsort(b_sums)[::-1]
+    b_sums = b_sums[b_order]
+    # Float window.  Each half sum adds at most n terms one at a time, so
+    # with u = eps/2 its error is at most 1.01 * n * u times the sum of
+    # its lengths, and the two errors together at most 1.01 * n * u * S,
+    # S the perimeter (the float perimeter is within the same factor of
+    # the exact one).  The window ends -b -+ T, with T = tolerance +
+    # margin, each round by at most u * (S + T).  A pair with
+    # |a + b| <= tolerance in exact arithmetic therefore lies inside the
+    # float window whenever margin >= (n + 4) * u * (S + tolerance),
+    # which 16 * n * eps * (S + tolerance) exceeds over thirteen times.
+    margin = 16 * np.finfo(float).eps * n * (lengths.perimeter + tolerance)
+    window = tolerance + margin
 
-    tol_frac = Fraction(float(tolerance))
-    found: list[tuple[int, ...]] = []
-    for idx in candidates:
-        vec = tuple(int(v) for v in signs[idx])
-        total = sum(Fraction(float(l)) * s for l, s in zip(ell, vec))
-        if abs(total) <= tol_frac:
-            found.append(vec)
-    return StraightLineReport(sign_vectors=tuple(found), exact=True)
+    # exact confirmation: every double is an integer over a power of two
+    ratios = [float(x).as_integer_ratio() for x in ell]
+    den = max(q for _, q in ratios)
+    nums = [p * (den // q) for p, q in ratios]
+    tol_p, tol_q = float(tolerance).as_integer_ratio()
+    shift = n - h
+    powers = np.arange(n - 2, -1, -1)
+
+    for start in range(0, b_sums.size, _SIGN_BATCH):
+        b = b_sums[start : start + _SIGN_BATCH]
+        lo = np.searchsorted(a_sorted, -b - window, side="left")
+        count = np.searchsorted(a_sorted, -b + window, side="right") - lo
+        for rows, pos in _expand(lo, count):
+            index = (a_order[pos] << shift) | b_order[start + rows]
+            bits = (index[:, None] >> powers) & 1
+            for idx, row in zip(index.tolist(), bits.tolist()):
+                vec = (1, *(2 * bit - 1 for bit in row))
+                total = sum(v if s > 0 else -v for v, s in zip(nums, vec))
+                if abs(total) * tol_q <= tol_p * den:
+                    yield idx, vec
+
+
+def _expand(lo: np.ndarray, count: np.ndarray):
+    """Pairs ``(i, lo[i] + j)`` for ``j < count[i]``, as two arrays, at
+    most ``_SIGN_BATCH`` pairs at a time."""
+    total = int(count.sum())
+    if not total:
+        return
+    if total <= _SIGN_BATCH:
+        rows = np.repeat(np.arange(count.size), count)
+        first = np.cumsum(count) - count
+        yield rows, np.arange(total) - np.repeat(first - lo, count)
+        return
+    for i in np.flatnonzero(count):  # wide windows: many equal sums
+        for s in range(0, int(count[i]), _SIGN_BATCH):
+            pos = lo[i] + np.arange(s, min(s + _SIGN_BATCH, int(count[i])))
+            yield np.full(pos.size, i), pos
+
+
+def straight_line_sign_vectors(
+    lengths: SideLengths, tolerance: float | None = None
+) -> StraightLineReport:
+    """All sign vectors with ``|sum(eps_i * l_i)| <= tolerance``.
+
+    Meet in the middle (Horowitz and Sahni, J. ACM 21(2), 1974): the
+    signed sums of each half of the lengths are listed, one half sorted,
+    and each sum of the other half looks up the partners that bring the
+    total within the tolerance plus a float error margin.  Candidates are
+    then confirmed in exact rational arithmetic (every finite double is a
+    ratio of integers), so the default report is exact.  Time and memory
+    grow as ``2**(n/2)``; ``n`` is limited to ``MAX_SIGN_N`` = 45, and a
+    report lists at most ``MAX_LISTED`` vectors (equal lengths can have
+    exponentially many).  The vectors are listed in lexicographic order of
+    ``eps`` (-1 before +1).  The default tolerance is ``1e-9`` of the
+    perimeter.
+    """
+    found = []
+    for item in _straight_lines(lengths, tolerance):
+        found.append(item)
+        if len(found) > MAX_LISTED:
+            raise ValueError(
+                f"more than {MAX_LISTED} straight-line sign vectors to list"
+            )
+    found.sort()
+    return StraightLineReport(sign_vectors=tuple(v for _, v in found), exact=True)
 
 
 def is_generic(lengths: SideLengths, tolerance: float | None = None) -> bool:
     """True when no straight-line configuration exists, in which case the
-    configuration space is a smooth manifold of dimension n - 3."""
-    return len(straight_line_sign_vectors(lengths, tolerance)) == 0
+    configuration space is a smooth manifold of dimension n - 3.  Stops at
+    the first straight line found."""
+    return next(_straight_lines(lengths, tolerance), None) is None
 
 
 def closures_for_free_angles(

@@ -18,6 +18,10 @@ as a tower of intervals between continuous graphs.  All indices are
 0-based: ``alpha[i]`` is the turn angle at vertex ``i``, and level ``K``
 (one plus the prefix length) counts the pinned edges.
 
+The constructions run as one numpy kernel over a block of prefixes of
+the same level (``_min_block``, ``_max_block``): ``sample_atlas`` calls
+it once per level, the single-prefix functions on a block of one.
+
 Also here: the expansive quadrilateral move (the elementary step that
 deforms one convex polygon into another through convex states), prefix
 membership testing, and grid sampling of the atlas.
@@ -31,11 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_geometry import (
+    TANGENT_RTOL,
     TAU,
     PolygonChain,
     SideLengths,
     chain_vertices,
     circle_circle_intersection,
+    turn_angle_array,
     turn_angles_from_vertices,
 )
 from .config_space import is_generic
@@ -43,6 +49,7 @@ from .config_space import is_generic
 ANGLE_SLACK = 1e-9  # tolerance below 0 / above pi for convexity checks
 FLAT_TOL = 1e-7  # |turn| below this counts as a flat vertex in witnesses
 TIE_TOL = 1e-9
+BLOCK = 2048  # prefixes per kernel call; bounds the (P, C, n, 2) candidate arrays
 
 MINIMAL_CASE_A = "minimal_case_a"
 MINIMAL_CASE_B = "minimal_case_b"
@@ -100,15 +107,31 @@ def _as_prefix(alpha) -> np.ndarray:
     return AnglePrefix(arr).alpha
 
 
-def _angles_ok(theta: np.ndarray, skip: int | None = None) -> bool:
-    """All turn angles convex (in [0, pi) within slack), optionally not
-    judging the angle at index ``skip``."""
-    for i, t in enumerate(theta):
-        if i == skip:
-            continue
-        if t < -ANGLE_SLACK or t >= math.pi - ANGLE_SLACK:
-            return False
-    return True
+def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, list]:
+    """:func:`_as_prefix` of every row of a ``(P, m)`` block.
+
+    Returns the clamped rows and, per row, the ``ValueError`` that
+    :func:`_as_prefix` raises on it (``None`` when the row is valid).
+    """
+    errors: list = [None] * alphas.shape[0]
+    if not alphas.shape[1]:
+        return alphas, errors
+    noise = (alphas.min(axis=1) >= -ANGLE_SLACK)[:, None]
+    rows = np.where(noise, np.maximum(alphas, 0.0), alphas)
+    bad = (rows.min(axis=1) < 0.0) | (rows.max(axis=1) >= math.pi)
+    bad |= np.cumsum(rows, axis=1).max(axis=1) > TAU + 1e-9
+    for r in np.flatnonzero(bad):
+        try:
+            _as_prefix(alphas[r])
+        except ValueError as exc:
+            errors[r] = exc
+    return rows, errors
+
+
+def _convex(theta: np.ndarray) -> np.ndarray:
+    """Turn angles in [0, pi) within slack, elementwise (NaN passes, as
+    in a scalar ``not (t < lo or t >= hi)`` test)."""
+    return ~((theta < -ANGLE_SLACK) | (theta >= math.pi - ANGLE_SLACK))
 
 
 def _require_generic(lengths: SideLengths):
@@ -127,48 +150,252 @@ def _level_bounds(lengths: SideLengths, k_level: int):
         )
 
 
-def _min_candidates(ell: np.ndarray, alpha: np.ndarray) -> list[PolygonChain]:
-    """Chains with the tail past the free vertex pulled straight.
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise; ``np.hypot`` rounds differently on a
+    small share of inputs, and the constructions keep the scalar rounding
+    of :func:`~polylink.chain_geometry.circle_circle_intersection`."""
+    out = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(out, float, x.size).reshape(x.shape)
 
-    May be empty: a tail too long to straighten from anywhere on the
-    reachable circle leaves no candidate, which forces the minimum turn
-    angle to zero (handled by the caller's case split).
+
+def _circle_points(c1: np.ndarray, r1, c2: np.ndarray, r2):
+    """:func:`~polylink.chain_geometry.circle_circle_intersection` for
+    many circle pairs at once, with the same rounding.
+
+    Centers ``c1``, ``c2`` are ``(..., 2)`` and radii ``r1``, ``r2``
+    ``(...)``, all broadcast together.  Returns the points, ``(..., 2,
+    2)`` with the left branch first, and how many of them the scalar
+    function returns: 0 when it finds none or raises on coincident
+    centers, 1 at a tangency, else 2.
     """
-    n = ell.size
-    K = alpha.size + 1
-    P = chain_vertices(ell[:K], alpha)  # vertices 0..K-1 of the pinned prefix
-    pk = P[-1]
+    dx = c2[..., 0] - c1[..., 0]
+    dy = c2[..., 1] - c1[..., 1]
+    d = _hypot(dx, dy)
+    tol = TANGENT_RTOL * (r1 + r2)
+    meet = ~((d <= tol) | (d > r1 + r2 + tol) | (d < np.abs(r1 - r2) - tol))
+    d = np.where(meet, d, 1.0)  # pairs without points: keep the arithmetic finite
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h_sq = r1 * r1 - a * a
+    ux, uy = dx / d, dy / d
+    fx, fy = c1[..., 0] + a * ux, c1[..., 1] + a * uy
+    tangent = (np.abs(d - (r1 + r2)) <= tol) | (np.abs(d - np.abs(r1 - r2)) <= tol)
+    single = tangent | (h_sq <= 0.0)
+    h = np.sqrt(np.where(single | ~meet, 0.0, h_sq))
+    hx, hy = h * -uy, h * ux  # h times the left normal of the center line
+    points = np.empty(d.shape + (2, 2))
+    points[..., 0, 0] = np.where(single, fx, fx + hx)
+    points[..., 0, 1] = np.where(single, fy, fy + hy)
+    points[..., 1, 0] = fx - hx
+    points[..., 1, 1] = fy - hy
+    return points, np.where(meet, np.where(single, 1, 2), 0)
+
+
+def _pick(theta_k: np.ndarray, ok: np.ndarray, maximize: bool, runs=None):
+    """Best candidate per row by a scan over the candidate axis.
+
+    A later candidate replaces the best only when it is better by more
+    than ``TIE_TOL``; one within ``TIE_TOL`` of the best sets ``tie``
+    (for the maximum only when its straight run ``runs[c]`` differs from
+    the best one's).  Returns the best value, its candidate index (-1
+    when no candidate is ``ok``) and the tie flags.
+    """
+    P, C = theta_k.shape
+    best = np.zeros(P)
+    arg = np.full(P, -1)
+    tie = np.zeros(P, dtype=bool)
+    for c in range(C):
+        t, has = theta_k[:, c], arg >= 0
+        beats = t > best + TIE_TOL if maximize else t < best - TIE_TOL
+        better = ok[:, c] & (~has | beats)
+        near = ok[:, c] & has & ~better & (np.abs(t - best) <= TIE_TOL)
+        if runs is not None:
+            near &= runs[c] != runs[np.maximum(arg, 0)]
+        tie |= near
+        best = np.where(better, t, best)
+        arg = np.where(better, c, arg)
+    return best, arg, tie
+
+
+def _no_tail(P: int) -> list:
+    return [PrefixError("no free tail left to stretch at this level")] * P
+
+
+def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
+    """Minimum turn angle at the first free vertex for a ``(P, K-1)``
+    block of valid same-level prefixes.
+
+    The candidates pull the tail past the free vertex straight into the
+    origin, one per branch of the circle intersection.  Rows whose best
+    candidate is negative, or that have none, are case (a): the minimum
+    is zero, witnessed by the same kernel one level deeper with the angle
+    pinned to zero.  Returns the minima, the witnesses (``None`` entries
+    unless ``witnesses``) and, per row, the exception the scalar
+    construction raises, or ``None``.
+    """
+    P, n, K = alphas.shape[0], ell.size, alphas.shape[1] + 1
+    nu = np.zeros(P)
+    found: list = [None] * P
+    if K > n - 2:
+        return nu, found, _no_tail(P)
+    errors: list = [None] * P
+    front = chain_vertices(ell[:K], alphas)  # vertices 0..K-1 of each prefix
+    pk = front[:, -1]
     r1 = float(ell[K])
     tail = float(ell[K + 1 :].sum())
-    d = math.hypot(pk[0], pk[1])
+    d = _hypot(pk[:, 0], pk[:, 1])
     tol = 1e-9 * (r1 + tail)
-    if d > r1 + tail + tol:
-        raise PrefixError(
+    for r in np.flatnonzero(d > r1 + tail + tol):
+        errors[r] = PrefixError(
             "prefix endpoint cannot reach closure even with a straight tail"
         )
-    if d < tail - r1 - tol:
-        return []
-    try:
-        points = circle_circle_intersection(pk, r1, (0.0, 0.0), tail)
-    except ValueError:
-        return []
-    chains = []
-    for pt in points:
-        pt = np.asarray(pt)
-        span = math.hypot(pt[0], pt[1])
-        if span <= 0.0:
-            continue
-        u = -pt / span
-        run = np.cumsum(ell[K + 1 : n - 1]) if K + 1 < n - 1 else np.zeros(0)
-        tail_verts = pt[None, :] + run[:, None] * u[None, :]
-        verts = np.vstack((P, pt, tail_verts, (0.0, 0.0)))
-        chains.append(PolygonChain(verts))
-    return chains
+    points, count = _circle_points(pk, r1, np.zeros(2), tail)
+    count[d < tail - r1 - tol] = 0  # tail too long: no candidate
+    span = _hypot(points[..., 0], points[..., 1])
+    built = (np.arange(2) < count[:, None]) & ~(span <= 0.0)
+    u = -points / np.where(built, span, 1.0)[..., None]
+    run = np.cumsum(ell[K + 1 : n - 1])
+
+    verts = np.empty((P, 2, n, 2))
+    verts[:, :, :K] = front[:, None]
+    verts[:, :, K] = points
+    verts[:, :, K + 1 : n - 1] = points[:, :, None] + run[:, None] * u[:, :, None]
+    verts[:, :, n - 1] = 0.0
+    theta, degenerate = turn_angle_array(verts, return_degenerate=True)
+    theta_k = theta[..., K - 1]
+    convex = _convex(theta)
+    convex[..., K - 1] = ~(theta_k >= math.pi - ANGLE_SLACK)  # may be negative
+    ok = built & convex.all(axis=-1)
+    best, arg, tie = _pick(theta_k, ok, maximize=False)
+
+    for r in np.flatnonzero((built & degenerate).any(axis=1)):
+        if errors[r] is None:
+            errors[r] = ValueError("zero-length edge: turn angle undefined")
+    # a tiny negative minimum is construction noise on an exact zero
+    case_b = (arg >= 0) & (best >= -ANGLE_SLACK)
+    for r in np.flatnonzero(case_b):
+        nu[r] = max(float(best[r]), 0.0)
+        if witnesses:
+            found[r] = StretchedWitness(
+                kind=MINIMAL_CASE_B,
+                chain=PolygonChain(verts[r, arg[r]].copy()),
+                theta_k=float(best[r]),
+                tie=bool(tie[r]),
+            )
+
+    # case (a): some convex completion is flat here; witness by pinning 0
+    flat = [r for r in np.flatnonzero(~case_b) if errors[r] is None]
+    if flat:
+        pinned = np.column_stack((alphas[flat], np.zeros(len(flat))))
+        _, deeper, failed = _min_block(ell, pinned, witnesses)
+        for r, w, exc in zip(flat, deeper, failed):
+            if isinstance(exc, PrefixError):
+                errors[r] = PrefixError(
+                    "prefix admits no convex completion (flat-pin failed)"
+                )
+                errors[r].__cause__ = exc
+            elif exc is not None:
+                errors[r] = exc
+            elif witnesses:
+                found[r] = StretchedWitness(
+                    kind=MINIMAL_CASE_A, chain=w.chain, theta_k=0.0
+                )
+    return nu, found, errors
 
 
-def min_turn_angle(
-    lengths: SideLengths, alpha, _internal: bool = False
-) -> tuple[float, StretchedWitness]:
+def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
+    """Maximum turn angle at the first free vertex for a ``(P, K-1)``
+    block of valid same-level prefixes.
+
+    Candidate pair ``(J, branch)`` straightens the edges ``K..J-1`` into
+    one run from the prefix endpoint and lays every edge after ``J`` flat
+    along the x-axis into the origin; the run's end is one circle
+    intersection.  Returns as :func:`_min_block` does.
+    """
+    P, n, K = alphas.shape[0], ell.size, alphas.shape[1] + 1
+    mu = np.zeros(P)
+    found: list = [None] * P
+    if K > n - 2:
+        return mu, found, _no_tail(P)
+    errors: list = [None] * P
+    front = chain_vertices(ell[:K], alphas)  # vertices 0..K-1 of each prefix
+    pk = front[:, -1]
+    ends = range(K + 1, n)  # J: the run covers edges K..J-1
+    run_len = np.array([float(ell[K:J].sum()) for J in ends])
+    t_len = np.array([float(ell[J + 1 :].sum()) for J in ends])
+    centers = np.zeros((len(ends), 2))
+    centers[:-1, 0] = -t_len[:-1]  # the last run ends at the origin's circle
+    points, count = _circle_points(pk[:, None], run_len, centers, ell[K + 1 :])
+    u = (points - pk[:, None, None]) / run_len[:, None, None]
+    runs = np.repeat(ends, 2)  # J of each candidate
+    built = (np.arange(2) < count[..., None]).reshape(P, -1)
+    verts = np.empty((P, runs.size, n, 2))
+    verts[:, :, :K] = front[:, None]
+    verts[:, :, n - 1] = 0.0
+    for c, J in enumerate(ends):
+        block = verts[:, 2 * c : 2 * c + 2]
+        run = np.cumsum(ell[K : J - 1])
+        block[:, :, K : J - 1] = pk[:, None, None] + run[:, None] * u[:, c, :, None]
+        block[:, :, J - 1] = points[:, c]
+        if J <= n - 2:
+            block[:, :, J] = centers[c]
+            block[:, :, J + 1 : n - 1, 0] = -t_len[c] + np.cumsum(ell[J + 1 : n - 1])
+            block[:, :, J + 1 : n - 1, 1] = 0.0
+    theta, degenerate = turn_angle_array(verts, return_degenerate=True)
+    ok = built & _convex(theta).all(axis=-1)
+    best, arg, tie = _pick(theta[..., K - 1], ok, maximize=True, runs=runs)
+
+    zero_edge = (built & degenerate).any(axis=1)
+    for r in range(P):
+        if zero_edge[r]:
+            errors[r] = ValueError("zero-length edge: turn angle undefined")
+        elif arg[r] < 0:
+            errors[r] = PrefixError(
+                "no valid maximally stretched candidate: prefix lies on the "
+                "boundary of feasibility"
+            )
+        else:
+            mu[r] = max(float(best[r]), 0.0)
+            if witnesses:
+                found[r] = StretchedWitness(
+                    kind=MAXIMAL,
+                    chain=PolygonChain(verts[r, arg[r]].copy()),
+                    theta_k=float(best[r]),
+                    j=int(runs[arg[r]]),
+                    tie=bool(tie[r]),
+                )
+    return mu, found, errors
+
+
+def _intervals(lengths: SideLengths, alphas: np.ndarray, witnesses: bool):
+    """Level intervals ``[nu, mu]`` of a ``(P, K-1)`` block of prefixes.
+
+    Returns ``(nu, witness_min, mu, witness_max)`` for the block, or
+    raises what the scalar constructions would raise on its first failing
+    row: a bad prefix first, then the minimum's error, then the maximum's.
+    """
+    ell = lengths.lengths
+    rows, bad = _as_prefix_rows(alphas)
+    nu, wmin, err_min = _min_block(ell, rows, witnesses)
+    mu, wmax, err_max = _max_block(ell, rows, witnesses)
+    for errors in zip(bad, err_min, err_max):
+        for exc in errors:
+            if exc is not None:
+                raise exc
+    return nu, wmin, mu, wmax
+
+
+def _one(block, lengths: SideLengths, alpha):
+    """Run a block kernel on a single prefix, raising its error."""
+    alpha = _as_prefix(alpha)
+    _require_generic(lengths)
+    _level_bounds(lengths, alpha.size + 1)
+    value, found, errors = block(lengths.lengths, alpha[None], True)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(value[0]), found[0]
+
+
+def min_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness]:
     """Smallest turn angle at the first free vertex over convex
     completions of the prefix.
 
@@ -176,53 +403,10 @@ def min_turn_angle(
     there means the true minimum is zero, witnessed by re-running one
     level deeper with the angle pinned to zero.
     """
-    alpha = _as_prefix(alpha)
-    n = lengths.n
-    K = alpha.size + 1
-    if not _internal:
-        _require_generic(lengths)
-        _level_bounds(lengths, K)
-    if K > n - 2:
-        raise PrefixError("no free tail left to stretch at this level")
-    ell = lengths.lengths
-
-    best: tuple[float, PolygonChain] | None = None
-    tie = False
-    for chain in _min_candidates(ell, alpha):
-        theta = turn_angles_from_vertices(chain).angles
-        if not _angles_ok(theta, skip=K - 1):
-            continue
-        t_k = float(theta[K - 1])
-        if t_k >= math.pi - ANGLE_SLACK:
-            continue
-        if best is None or t_k < best[0] - TIE_TOL:
-            best = (t_k, chain)
-        elif abs(t_k - best[0]) <= TIE_TOL:
-            tie = True
-
-    if best is not None and best[0] >= -ANGLE_SLACK:
-        # the minimum over convex completions is nonnegative by definition;
-        # a tiny negative here is construction noise on an exact zero
-        return max(best[0], 0.0), StretchedWitness(
-            kind=MINIMAL_CASE_B, chain=best[1], theta_k=best[0], tie=tie
-        )
-
-    # case (a): some convex completion is flat here; witness by pinning 0
-    zero_prefix = np.append(alpha, 0.0)
-    try:
-        _, deeper = min_turn_angle(lengths, zero_prefix, _internal=True)
-    except PrefixError as exc:
-        raise PrefixError(
-            "prefix admits no convex completion (flat-pin failed)"
-        ) from exc
-    return 0.0, StretchedWitness(
-        kind=MINIMAL_CASE_A, chain=deeper.chain, theta_k=0.0
-    )
+    return _one(_min_block, lengths, alpha)
 
 
-def max_turn_angle(
-    lengths: SideLengths, alpha, _internal: bool = False
-) -> tuple[float, StretchedWitness]:
+def max_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness]:
     """Largest turn angle at the first free vertex over convex
     completions of the prefix.
 
@@ -232,71 +416,7 @@ def max_turn_angle(
     one circle intersection; invalid candidates are discarded and the
     best surviving turn angle wins.
     """
-    alpha = _as_prefix(alpha)
-    n = lengths.n
-    K = alpha.size + 1
-    if not _internal:
-        _require_generic(lengths)
-        _level_bounds(lengths, K)
-    if K > n - 2:
-        raise PrefixError("no free tail left to stretch at this level")
-    ell = lengths.lengths
-    P = chain_vertices(ell[:K], alpha)  # vertices 0..K-1 of the pinned prefix
-    pk = P[-1]
-
-    best: tuple[float, int, PolygonChain] | None = None
-    tie = False
-    for J in range(K + 1, n):
-        run_len = float(ell[K:J].sum())
-        if J <= n - 2:
-            t_len = float(ell[J + 1 :].sum())
-            center2 = np.array([-t_len, 0.0])
-            r2 = float(ell[J])
-        else:
-            t_len = 0.0
-            center2 = np.zeros(2)
-            r2 = float(ell[n - 1])
-        try:
-            points = circle_circle_intersection(pk, run_len, center2, r2)
-        except ValueError:
-            continue
-        for pt in points:
-            pt = np.asarray(pt)
-            u = (pt - pk) / run_len
-            run = np.cumsum(ell[K : J - 1]) if K < J - 1 else np.zeros(0)
-            run_verts = pk[None, :] + run[:, None] * u[None, :]
-            if J <= n - 2:
-                flat = (
-                    np.cumsum(ell[J + 1 : n - 1])
-                    if J + 1 < n - 1
-                    else np.zeros(0)
-                )
-                tail_verts = np.column_stack(
-                    (-t_len + flat, np.zeros(flat.size))
-                )
-                verts = np.vstack(
-                    (P, run_verts, pt, center2, tail_verts, (0.0, 0.0))
-                )
-            else:
-                verts = np.vstack((P, run_verts, pt, (0.0, 0.0)))
-            chain = PolygonChain(verts)
-            theta = turn_angles_from_vertices(chain).angles
-            if not _angles_ok(theta):
-                continue
-            t_k = float(theta[K - 1])
-            if best is None or t_k > best[0] + TIE_TOL:
-                best = (t_k, J, chain)
-            elif abs(t_k - best[0]) <= TIE_TOL and J != best[1]:
-                tie = True
-
-    if best is None:
-        raise PrefixError(
-            "no valid maximally stretched candidate: prefix lies on the "
-            "boundary of feasibility"
-        )
-    return max(best[0], 0.0), StretchedWitness(
-        kind=MAXIMAL, chain=best[2], theta_k=best[0], j=best[1], tie=tie
-    )
+    return _one(_max_block, lengths, alpha)
 
 
 def contains_prefix(lengths: SideLengths, alpha, tol: float = 1e-9) -> bool:
@@ -304,13 +424,11 @@ def contains_prefix(lengths: SideLengths, alpha, tol: float = 1e-9) -> bool:
     alpha = _as_prefix(alpha)
     _require_generic(lengths)
     for m in range(alpha.size):
-        head = alpha[:m]
         try:
-            nu, _ = min_turn_angle(lengths, head, _internal=True)
-            mu, _ = max_turn_angle(lengths, head, _internal=True)
+            nu, _, mu, _ = _intervals(lengths, alpha[None, :m], False)
         except PrefixError:
             return False
-        if not (nu - tol <= alpha[m] <= mu + tol):
+        if not (nu[0] - tol <= alpha[m] <= mu[0] + tol):
             return False
     return True
 
@@ -394,34 +512,51 @@ class AtlasSample:
         return len(self.rows)
 
 
+def _grid_rows(block: np.ndarray, nu: np.ndarray, mu: np.ndarray, grid: int):
+    """Each row of ``block`` extended by every value of
+    ``np.linspace(nu, mu, grid)`` of that row, in row order, with the
+    rounding of the scalar ``np.linspace``."""
+    delta = mu - nu
+    step = delta / (grid - 1)
+    i = np.arange(grid, dtype=float)
+    t = np.where(
+        (step == 0)[:, None], i / (grid - 1) * delta[:, None], i * step[:, None]
+    )
+    t += nu[:, None]
+    t[:, -1] = mu
+    return np.column_stack((np.repeat(block, grid, axis=0), t.ravel()))
+
+
 def sample_atlas(lengths: SideLengths, k: int, grid: int) -> AtlasSample:
     """Sample the interval tower of convex prefixes up to level ``k``.
 
     Level 1 is a single interval; each deeper level grids the interval of
     every node and recurses, so the result has ``grid**(k-1)`` rows, each
     holding the interval and witnesses of one sampled prefix.  Node order
-    is depth-first (deterministic).
+    is depth-first (deterministic).  Each level runs the stretched
+    constructions on its prefixes ``BLOCK`` at a time.
     """
     _require_generic(lengths)
     _level_bounds(lengths, k)
     if grid < 2 and k > 1:
         raise ValueError("grid must be >= 2 to sample intermediate levels")
 
-    prefixes: list[np.ndarray] = [np.zeros(0)]
+    def blocks(prefixes):
+        return (prefixes[s : s + BLOCK] for s in range(0, len(prefixes), BLOCK))
+
+    prefixes = np.zeros((1, 0))
     for _ in range(1, k):
-        extended: list[np.ndarray] = []
-        for alpha in prefixes:
-            nu, _ = min_turn_angle(lengths, alpha, _internal=True)
-            mu, _ = max_turn_angle(lengths, alpha, _internal=True)
-            for t in np.linspace(nu, mu, grid):
-                extended.append(np.append(alpha, t))
-        prefixes = extended
+        extended = []
+        for block in blocks(prefixes):
+            nu, _, mu, _ = _intervals(lengths, block, False)
+            extended.append(_grid_rows(block, nu, mu, grid))
+        prefixes = np.concatenate(extended)
 
     rows = []
-    for alpha in prefixes:
-        nu, wmin = min_turn_angle(lengths, alpha, _internal=True)
-        mu, wmax = max_turn_angle(lengths, alpha, _internal=True)
-        rows.append(
-            AtlasRow(prefix=alpha, nu=nu, mu=mu, witness_min=wmin, witness_max=wmax)
-        )
+    for block in blocks(prefixes):
+        nu, wmin, mu, wmax = _intervals(lengths, block, True)
+        rows += [
+            AtlasRow(prefix=alpha, nu=float(a), mu=float(b), witness_min=w0, witness_max=w1)
+            for alpha, a, b, w0, w1 in zip(block, nu, mu, wmin, wmax)
+        ]
     return AtlasSample(lengths=lengths, k=k, grid=grid, rows=rows)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from click.testing import CliRunner
 
 import polylink as pl
 from polylink.cli import main, render_json
+
+from conftest import random_embedded_ccw
 
 TAU = 2.0 * math.pi
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,6 +61,20 @@ class TestAnalyze:
         assert r.exit_code == 0
         out = json.loads(r.output)
         assert out["generic"] is True and out["dimension"] == 1
+
+    def test_n40_under_one_second(self, runner, tmp_path):
+        ell = np.random.default_rng(40).uniform(0.6, 1.6, 40)
+        f = write(tmp_path, "l.json", {"lengths": ell.tolist()})
+        t0 = time.process_time()  # CPU time: the runner works in process
+        r = invoke(runner, ["analyze", f])
+        elapsed = time.process_time() - t0
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["n"] == 40
+        assert len(out["straight_line"]) == len(
+            pl.straight_line_sign_vectors(pl.SideLengths(ell))
+        )
+        assert elapsed < 1.0
 
     def test_infeasible_exits_2(self, runner, tmp_path):
         f = write(tmp_path, "l.json", {"lengths": [10, 1, 1, 1]})
@@ -218,6 +235,33 @@ class TestConvexify:
         )
         r = invoke(runner, ["convexify", f])
         assert r.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--step", "-1", "initial_step must be positive"),
+            ("--tol", "0", "convexity_tol must be positive"),
+            ("--max-iter", "0", "iteration counts must be >= 1"),
+            ("--stride", "0", "iteration counts must be >= 1"),
+        ],
+    )
+    def test_bad_flow_option_exits_1(self, runner, option, value, message):
+        f = str(FIXTURES / "pentagon_nonconvex.json")
+        r = invoke(runner, ["convexify", f, option, value])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {"error": f"bad flow options: {message}"}
+
+    def test_31_gon_exits_0(self, runner, tmp_path):
+        # n = 31 was past the old sign-enumeration limit, and the CLI
+        # prints the genericity flag
+        chain = random_embedded_ccw(31, np.random.default_rng(0), require_nonconvex=True)
+        f = write(tmp_path, "p.json", {"vertices": chain.vertices.tolist()})
+        r = invoke(runner, ["convexify", f])
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["status"] == "converged_convex"
+        assert out["generic"] == pl.is_generic(chain.side_lengths())
 
 
 class TestAtlas:

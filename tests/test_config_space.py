@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import polylink as pl
+from polylink import config_space
 from polylink.chain_geometry import embedded_mask
 
 from conftest import random_embedded_ccw, random_generic_lengths, star_polygon
@@ -78,8 +80,11 @@ class TestStraightLineSignVectors:
         assert len(pl.straight_line_sign_vectors(lengths, tolerance=1e-9)) == 1
 
     def test_n_limit(self):
-        with pytest.raises(ValueError, match="n <= 30"):
-            pl.straight_line_sign_vectors(pl.SideLengths(np.ones(31)))
+        # at n = 45 each half of the meet-in-the-middle search holds 2**22
+        # signed sums; an odd number of equal lengths has no straight line
+        with pytest.raises(ValueError, match="n <= 45"):
+            pl.straight_line_sign_vectors(pl.SideLengths(np.ones(46)))
+        assert pl.is_generic(pl.SideLengths(np.ones(45)))
 
 
 class TestGenericFeasible:
@@ -271,6 +276,67 @@ def test_closures_for_free_angles_branches():
     sweep = pl.enumerate_configurations(lengths, 10)
     assert np.allclose(sweep.chain(0).vertices, chains[0].vertices)
     assert np.allclose(sweep.chain(1).vertices, chains[1].vertices)
+
+
+# --- meet-in-the-middle genericity against the full enumeration -----------
+
+
+def brute_force_sign_vectors(lengths, tolerance=None):
+    """The 2**(n-1)-row sign-matrix enumeration that the meet-in-the-middle
+    search replaced, kept as a test-only reference."""
+    n = lengths.n
+    ell = lengths.lengths
+    if tolerance is None:
+        tolerance = 1e-9 * lengths.perimeter
+    m = n - 1
+    rest = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1) * 2 - 1
+    signs = np.column_stack((np.ones(1 << m, dtype=np.int64), rest[:, ::-1]))
+    sums = signs.astype(float) @ ell
+    margin = 16 * np.finfo(float).eps * lengths.perimeter * n
+    candidates = np.nonzero(np.abs(sums) <= tolerance + margin)[0]
+    tol_frac = Fraction(float(tolerance))
+    found = []
+    for idx in candidates:
+        vec = tuple(int(v) for v in signs[idx])
+        total = sum(Fraction(float(l)) * s for l, s in zip(ell, vec))
+        if abs(total) <= tol_frac:
+            found.append(vec)
+    return tuple(found)
+
+
+def _length_vectors(n: int):
+    rng = np.random.default_rng(4000 + n)
+    yield "random", rng.uniform(0.6, 1.6, n)
+    ints = rng.integers(1, 6, n).astype(float)
+    yield "small_integer", ints
+    eps = rng.choice([-1.0, 1.0], n - 1)
+    ints[-1] = max(abs(eps @ ints[:-1]), 1.0)  # a straight line, unless 1.0
+    yield "planted", ints
+    yield "decimal", rng.integers(1, 4, n) / 10.0  # sums of tenths round
+    if n % 2 == 0:
+        yield "all_equal", np.full(n, 0.7)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_meet_in_the_middle_matches_enumeration(n):
+    listed = 0
+    for kind, ell in _length_vectors(n):
+        lengths = pl.SideLengths(ell)
+        for tolerance in (None, 0.0, 1e-9):
+            want = brute_force_sign_vectors(lengths, tolerance)
+            got = pl.straight_line_sign_vectors(lengths, tolerance)
+            assert got.sign_vectors == want, (kind, tolerance)
+            assert pl.is_generic(lengths, tolerance) == (not want), (kind, tolerance)
+            listed += len(want)
+    assert listed > 0
+
+
+def test_report_size_is_capped(monkeypatch):
+    monkeypatch.setattr(config_space, "MAX_LISTED", 100)
+    lengths = pl.SideLengths(np.ones(12))  # 462 straight lines
+    with pytest.raises(ValueError, match="more than 100"):
+        pl.straight_line_sign_vectors(lengths)
+    assert not pl.is_generic(lengths)
 
 
 def test_generic_lengths_sampler_is_generic():

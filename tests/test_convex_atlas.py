@@ -236,3 +236,307 @@ def test_prefix_validation():
         pl.AnglePrefix(np.array([math.pi]))
     p = pl.AnglePrefix(np.array([0.3, 1.1]))
     assert len(p) == 2
+
+
+# --- scalar reference for the batched stretched constructions -------------
+#
+# The per-prefix, per-candidate constructions the batched kernel replaced,
+# kept as a test-only reference: one PolygonChain per candidate, one
+# turn_angles_from_vertices call each, and a scalar scan.  The kernel must
+# agree with them bit for bit.
+
+from polylink.chain_geometry import chain_vertices, circle_circle_intersection
+from polylink.convex_atlas import (
+    ANGLE_SLACK,
+    MAXIMAL,
+    MINIMAL_CASE_A,
+    MINIMAL_CASE_B,
+    TIE_TOL,
+    PrefixError,
+    _as_prefix,
+    _intervals,
+    _pick,
+)
+
+
+def _ref_angles_ok(theta, skip=None):
+    for i, t in enumerate(theta):
+        if i == skip:
+            continue
+        if t < -ANGLE_SLACK or t >= math.pi - ANGLE_SLACK:
+            return False
+    return True
+
+
+def _ref_min_candidates(ell, alpha):
+    n = ell.size
+    K = alpha.size + 1
+    P = chain_vertices(ell[:K], alpha)
+    pk = P[-1]
+    r1 = float(ell[K])
+    tail = float(ell[K + 1 :].sum())
+    d = math.hypot(pk[0], pk[1])
+    tol = 1e-9 * (r1 + tail)
+    if d > r1 + tail + tol:
+        raise PrefixError(
+            "prefix endpoint cannot reach closure even with a straight tail"
+        )
+    if d < tail - r1 - tol:
+        return []
+    try:
+        points = circle_circle_intersection(pk, r1, (0.0, 0.0), tail)
+    except ValueError:
+        return []
+    chains = []
+    for pt in points:
+        pt = np.asarray(pt)
+        span = math.hypot(pt[0], pt[1])
+        if span <= 0.0:
+            continue
+        u = -pt / span
+        run = np.cumsum(ell[K + 1 : n - 1]) if K + 1 < n - 1 else np.zeros(0)
+        tail_verts = pt[None, :] + run[:, None] * u[None, :]
+        verts = np.vstack((P, pt, tail_verts, (0.0, 0.0)))
+        chains.append(pl.PolygonChain(verts))
+    return chains
+
+
+def ref_min_turn_angle(lengths, alpha):
+    alpha = _as_prefix(alpha)
+    K = alpha.size + 1
+    if K > lengths.n - 2:
+        raise PrefixError("no free tail left to stretch at this level")
+    best, tie = None, False
+    for chain in _ref_min_candidates(lengths.lengths, alpha):
+        theta = pl.turn_angles_from_vertices(chain).angles
+        if not _ref_angles_ok(theta, skip=K - 1):
+            continue
+        t_k = float(theta[K - 1])
+        if t_k >= math.pi - ANGLE_SLACK:
+            continue
+        if best is None or t_k < best[0] - TIE_TOL:
+            best = (t_k, chain)
+        elif abs(t_k - best[0]) <= TIE_TOL:
+            tie = True
+    if best is not None and best[0] >= -ANGLE_SLACK:
+        return max(best[0], 0.0), pl.StretchedWitness(
+            kind=MINIMAL_CASE_B, chain=best[1], theta_k=best[0], tie=tie
+        )
+    try:
+        _, deeper = ref_min_turn_angle(lengths, np.append(alpha, 0.0))
+    except PrefixError as exc:
+        raise PrefixError(
+            "prefix admits no convex completion (flat-pin failed)"
+        ) from exc
+    return 0.0, pl.StretchedWitness(
+        kind=MINIMAL_CASE_A, chain=deeper.chain, theta_k=0.0
+    )
+
+
+def ref_max_turn_angle(lengths, alpha):
+    alpha = _as_prefix(alpha)
+    n = lengths.n
+    K = alpha.size + 1
+    if K > n - 2:
+        raise PrefixError("no free tail left to stretch at this level")
+    ell = lengths.lengths
+    P = chain_vertices(ell[:K], alpha)
+    pk = P[-1]
+    best, tie = None, False
+    for J in range(K + 1, n):
+        run_len = float(ell[K:J].sum())
+        if J <= n - 2:
+            t_len = float(ell[J + 1 :].sum())
+            center2 = np.array([-t_len, 0.0])
+            r2 = float(ell[J])
+        else:
+            t_len = 0.0
+            center2 = np.zeros(2)
+            r2 = float(ell[n - 1])
+        try:
+            points = circle_circle_intersection(pk, run_len, center2, r2)
+        except ValueError:
+            continue
+        for pt in points:
+            pt = np.asarray(pt)
+            u = (pt - pk) / run_len
+            run = np.cumsum(ell[K : J - 1]) if K < J - 1 else np.zeros(0)
+            run_verts = pk[None, :] + run[:, None] * u[None, :]
+            if J <= n - 2:
+                flat = (
+                    np.cumsum(ell[J + 1 : n - 1]) if J + 1 < n - 1 else np.zeros(0)
+                )
+                tail_verts = np.column_stack((-t_len + flat, np.zeros(flat.size)))
+                verts = np.vstack((P, run_verts, pt, center2, tail_verts, (0.0, 0.0)))
+            else:
+                verts = np.vstack((P, run_verts, pt, (0.0, 0.0)))
+            chain = pl.PolygonChain(verts)
+            theta = pl.turn_angles_from_vertices(chain).angles
+            if not _ref_angles_ok(theta):
+                continue
+            t_k = float(theta[K - 1])
+            if best is None or t_k > best[0] + TIE_TOL:
+                best = (t_k, J, chain)
+            elif abs(t_k - best[0]) <= TIE_TOL and J != best[1]:
+                tie = True
+    if best is None:
+        raise PrefixError(
+            "no valid maximally stretched candidate: prefix lies on the "
+            "boundary of feasibility"
+        )
+    return max(best[0], 0.0), pl.StretchedWitness(
+        kind=MAXIMAL, chain=best[2], theta_k=best[0], j=best[1], tie=tie
+    )
+
+
+def _outcome(fn, *args):
+    """(value, witness) or the raised exception's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_endpoint(got, want):
+    if isinstance(want[0], type):  # both raised
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    (v1, w1), (v2, w2) = got, want
+    assert _bits(v1) == _bits(v2)
+    assert (w1.kind, w1.j, w1.tie) == (w2.kind, w2.j, w2.tie)
+    assert _bits(w1.theta_k) == _bits(w2.theta_k)
+    assert _bits(w1.chain.vertices) == _bits(w2.chain.vertices)
+
+
+def _level_prefixes(lengths, per_level=5):
+    """Prefixes of every level: at each level, ``per_level`` values from
+    nu to mu (both endpoints pinned) under up to three parents: the
+    previous level's nu-pinned, middle and mu-pinned prefixes."""
+    parents = [np.zeros(0)]
+    levels = [[np.zeros(0)]]
+    for _ in range(1, lengths.n - 3):
+        level, nexts = [], []
+        for alpha in parents:
+            try:
+                nu, _ = ref_min_turn_angle(lengths, alpha)
+                mu, _ = ref_max_turn_angle(lengths, alpha)
+            except PrefixError:
+                continue
+            grid = [np.append(alpha, t) for t in np.linspace(nu, mu, per_level)]
+            level += grid
+            nexts += [grid[0], grid[per_level // 2], grid[-1]]
+        levels.append(level)
+        parents = nexts[:3]
+    return levels
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_matches_scalar_reference(n, seed):
+    lengths = random_generic_lengths(n, np.random.default_rng(900 + 10 * n + seed))
+    for level in _level_prefixes(lengths):
+        block = np.array(level)
+        batch = _outcome(_intervals, lengths, block, True)
+        for r, alpha in enumerate(level):
+            want_min = _outcome(ref_min_turn_angle, lengths, alpha)
+            want_max = _outcome(ref_max_turn_angle, lengths, alpha)
+            assert_same_endpoint(_outcome(pl.min_turn_angle, lengths, alpha), want_min)
+            assert_same_endpoint(_outcome(pl.max_turn_angle, lengths, alpha), want_max)
+            if isinstance(batch[0], type):
+                continue  # a row of this block failed; the rows alone are checked above
+            nu, wmin, mu, wmax = batch
+            assert_same_endpoint((nu[r], wmin[r]), want_min)
+            assert_same_endpoint((mu[r], wmax[r]), want_max)
+
+
+def test_walk_reaches_both_minimum_cases():
+    # the pinned endpoints of the reference walk reach case (a) and case
+    # (b) of the minimum; otherwise the comparison above is thin
+    kinds = set()
+    for n in range(5, 10):
+        lengths = random_generic_lengths(n, np.random.default_rng(900 + 10 * n))
+        for level in _level_prefixes(lengths):
+            for alpha in level:
+                got = _outcome(pl.min_turn_angle, lengths, alpha)
+                if not isinstance(got[0], type):
+                    kinds.add(got[1].kind)
+    assert kinds == {MINIMAL_CASE_A, MINIMAL_CASE_B}
+
+
+def _ref_scan(values, ok, maximize, runs):
+    """The scalar selection loop of the reference constructions."""
+    best, tie = None, False
+    for c, (t, good) in enumerate(zip(values, ok)):
+        if not good:
+            continue
+        if best is None or (t > best[0] + TIE_TOL if maximize else t < best[0] - TIE_TOL):
+            best = (t, c)
+        elif abs(t - best[0]) <= TIE_TOL and (not maximize or runs[c] != runs[best[1]]):
+            tie = True
+    return best, tie
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_pick_matches_scalar_scan(maximize):
+    # values a fraction of TIE_TOL apart: the first candidate must win
+    # unless a later one beats it by more than TIE_TOL, and ties must be
+    # flagged exactly as the scalar loop flags them
+    rng = np.random.default_rng(5)
+    C = 6
+    runs = np.repeat(np.arange(3), 2)
+    values = 1.0 + rng.integers(0, 5, (4000, C)) * 0.6 * TIE_TOL
+    ok = rng.random((4000, C)) < 0.7
+    best, arg, tie = _pick(values, ok, maximize, runs if maximize else None)
+    flagged = 0
+    for r in range(len(values)):
+        want, want_tie = _ref_scan(values[r], ok[r], maximize, runs)
+        if want is None:
+            assert arg[r] == -1
+            continue
+        assert (best[r], arg[r], tie[r]) == (want[0], want[1], want_tie)
+        flagged += want_tie
+    assert flagged > 100
+
+
+def test_out_of_interval_prefix_same_error():
+    lengths = random_generic_lengths(6, np.random.default_rng(77))
+    _, w = pl.max_turn_angle(lengths, [])
+    mu = w.theta_k
+    for alpha in ([mu + 0.05], [mu + 0.05, 0.3]):
+        want = _outcome(ref_max_turn_angle, lengths, alpha)
+        assert want[0] is PrefixError
+        assert _outcome(pl.max_turn_angle, lengths, alpha) == want
+        assert _outcome(pl.min_turn_angle, lengths, alpha) == _outcome(
+            ref_min_turn_angle, lengths, alpha
+        )
+        with pytest.raises(PrefixError) as got:
+            _intervals(lengths, np.array([alpha]), True)
+        first = _outcome(ref_min_turn_angle, lengths, alpha)
+        if not isinstance(first[0], type):
+            first = want
+        assert (type(got.value), str(got.value)) == first
+    assert not pl.contains_prefix(lengths, [mu + 0.05])
+
+
+@pytest.mark.parametrize("n, k, grid", [(5, 2, 7), (6, 3, 5), (7, 3, 6), (7, 4, 3)])
+def test_sample_atlas_rows_match_reference(n, k, grid):
+    lengths = random_generic_lengths(n, np.random.default_rng(500 + n), margin=0.05)
+    prefixes = [np.zeros(0)]
+    for _ in range(1, k):
+        extended = []
+        for alpha in prefixes:
+            nu, _ = ref_min_turn_angle(lengths, alpha)
+            mu, _ = ref_max_turn_angle(lengths, alpha)
+            extended += [np.append(alpha, t) for t in np.linspace(nu, mu, grid)]
+        prefixes = extended
+    rows = pl.sample_atlas(lengths, k, grid).rows
+    assert len(rows) == len(prefixes)
+    for row, alpha in zip(rows, prefixes):
+        assert _bits(row.prefix) == _bits(alpha)
+        assert_same_endpoint((row.nu, row.witness_min), ref_min_turn_angle(lengths, alpha))
+        assert_same_endpoint((row.mu, row.witness_max), ref_max_turn_angle(lengths, alpha))

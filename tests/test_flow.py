@@ -75,8 +75,7 @@ class TestConvexify:
         )
 
     def test_31_gon_converges(self):
-        # above the exhaustive genericity limit (n <= 30): the flow never
-        # needs genericity, so it must not decide it
+        # the flow never needs genericity, so it must not decide it
         chain = random_embedded_ccw(31, np.random.default_rng(0), require_nonconvex=True)
         lengths = chain.side_lengths()
         trace = pl.convexify(chain)

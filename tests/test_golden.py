@@ -1,0 +1,51 @@
+"""Byte-for-byte CLI output for fixed inputs.
+
+The expected outputs in ``fixtures/golden/`` were written by an earlier
+implementation of the atlas and the genericity test (per-candidate
+chains, full sign-vector enumeration); the rewrites must reproduce them
+exactly.  ``python tests/test_golden.py`` rewrites them from the current
+code, which is only right when an output change is intended.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from polylink.cli import main
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+# output file -> (lengths file, CLI arguments after the lengths file)
+CASES = {
+    "atlas_n7_k3_g8.csv": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "csv"]),
+    "atlas_n7_k3_g8.json": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "json"]),
+    "atlas_n20_k2_g10.csv": ("n20.json", ["atlas", "--k", "2", "--grid", "10", "--out", "csv"]),
+    "atlas_n20_k2_g10.json": ("n20.json", ["atlas", "--k", "2", "--grid", "10", "--out", "json"]),
+    "analyze_6424.json": ("l6424.json", ["analyze"]),
+    "analyze_1111.json": ("l1111.json", ["analyze"]),
+    "analyze_112233.json": ("l112233.json", ["analyze"]),
+}
+
+
+def run_case(name: str):
+    lengths_file, args = CASES[name]
+    argv = [args[0], str(GOLDEN / lengths_file), *args[1:]]
+    return CliRunner().invoke(main, argv, catch_exceptions=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    result = run_case(name)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        res = run_case(case)
+        assert res.exit_code == 0, (case, res.exit_code)
+        (GOLDEN / case).write_bytes(res.stdout_bytes)
+        print(f"wrote {case} ({len(res.stdout_bytes)} bytes)")
