@@ -6,9 +6,11 @@ classification), ``convexify`` (energy descent with trace/SVG output),
 (the (6,4,2,4) sweep whose configuration space is a figure eight).
 
 Exit codes: 0 success, 1 I/O or parse error, 2 infeasible or non-generic
-lengths, 3 non-embedded polygon, 4 flow non-convergence (also used when
-the demo's expected findings fail).  All output is deterministic: floats
-print with 17 significant digits and fields appear in fixed order.
+lengths, or lengths the exact straight-line search cannot take (n > 45,
+or more straight lines than one report lists), 3 non-embedded polygon,
+4 flow non-convergence (also used when the demo's expected findings
+fail).  All output is deterministic: floats print with 17 significant
+digits and fields appear in fixed order.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ def _load_polygon(path: str) -> tuple[PolygonChain, float]:
     return chain, defect
 
 
+def _straight_line_report(lengths: SideLengths):
+    try:
+        return straight_line_sign_vectors(lengths)
+    except ValueError as exc:  # too many lengths or straight lines to list
+        _fail(str(exc), EXIT_LENGTHS)
+
+
 def _sign_strings(report) -> list[list[str]]:
     return [["+" if s > 0 else "-" for s in vec] for vec in report.sign_vectors]
 
@@ -144,7 +153,7 @@ def analyze(lengths_file):
     """Report dimension, feasibility, and genericity of a length vector."""
     lengths = _load_lengths(lengths_file)
     feasible = is_feasible(lengths)
-    report = straight_line_sign_vectors(lengths)
+    report = _straight_line_report(lengths)
     out = {
         "n": lengths.n,
         "dimension": lengths.n - 3,
@@ -323,7 +332,7 @@ def atlas(lengths_file, k, grid, fmt, output):
     if not is_feasible(lengths):
         click.echo(render_json({"feasible": False}))
         sys.exit(EXIT_LENGTHS)
-    report = straight_line_sign_vectors(lengths)
+    report = _straight_line_report(lengths)
     if len(report):
         click.echo(
             render_json({"generic": False, "straight_line": _sign_strings(report)})

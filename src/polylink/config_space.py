@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -276,7 +277,10 @@ class ConfigSampleSet:
     Stored column-wise for memory economy at fine grids; use
     :meth:`config` to materialize one sample (vertices are rebuilt from
     the stored turn angles).  Samples appear in grid-major, branch-minor
-    order.
+    order.  ``free_indices``, ``branch``, ``angles``, ``winding`` and
+    ``convex_ccw`` are computed by :func:`enumerate_configurations`;
+    ``embedded`` is computed from the stored angles when first read, in
+    passes of ``pass_rows`` chains, and then kept.
     """
 
     lengths: SideLengths
@@ -285,11 +289,16 @@ class ConfigSampleSet:
     branch: np.ndarray  # (M,) int8
     angles: np.ndarray  # (M, n) float
     winding: np.ndarray  # (M,)
-    embedded: np.ndarray  # (M,) bool
     convex_ccw: np.ndarray  # (M,) bool
+    pass_rows: int  # chains per embeddedness pass
 
     def __len__(self) -> int:
         return int(self.branch.size)
+
+    @cached_property
+    def embedded(self) -> np.ndarray:
+        """(M,) bool: embeddedness of every stored configuration."""
+        return _embedded_rows(self.lengths.lengths, self.angles, self.pass_rows)
 
     def free_values(self, i: int) -> np.ndarray:
         n3 = self.free_indices.shape[1]
@@ -300,17 +309,35 @@ class ConfigSampleSet:
         return chain
 
     def config(self, i: int) -> ConfigRecord:
+        if "embedded" in self.__dict__:
+            embedded = bool(self.embedded[i])
+        else:  # one row: the tolerance is per chain, so the answer is the same
+            row = _embedded_rows(self.lengths.lengths, self.angles[[i]], 1)
+            embedded = bool(row[0])
         return ConfigRecord(
             free_values=self.free_values(i),
             branch=int(self.branch[i]),
             angles=TurnAngles(self.angles[i].copy()),
             chain=self.chain(i),
             config_class=ConfigClass(
-                embedded=bool(self.embedded[i]),
+                embedded=embedded,
                 winding=float(self.winding[i]),
                 convex_ccw=bool(self.convex_ccw[i]),
             ),
         )
+
+
+def _embedded_rows(
+    ell: np.ndarray, angles: np.ndarray, pass_rows: int
+) -> np.ndarray:
+    """:func:`~polylink.chain_geometry.embedded_mask` of the chains rebuilt
+    from ``angles`` (the chains :meth:`ConfigSampleSet.chain` returns),
+    ``pass_rows`` chains at a time."""
+    out = np.empty(len(angles), dtype=bool)
+    for s in range(0, len(angles), pass_rows):
+        part = angles[s : s + pass_rows, : ell.size - 1]
+        out[s : s + pass_rows] = embedded_mask(chain_vertices(ell, part))
+    return out
 
 
 def enumerate_configurations(
@@ -329,9 +356,16 @@ def enumerate_configurations(
     grid point contributes one closed configuration per elbow branch
     whose closing circles intersect; a tangency contributes a single
     configuration.  Supported for ``3 <= n <= 6`` by design: this is the
-    desk-scale oracle.  Each configuration is classified on the chain
-    rebuilt from its stored turn angles, the chain :meth:`ConfigSampleSet.chain`
-    returns, so it agrees with :func:`classify` of that chain.
+    desk-scale oracle.
+
+    The sweep computes the grid indices, branches, turn angles, winding
+    and ``convex_ccw``.  Convexity is decided by the turn-angle test
+    (winding ``2 pi``, no negative angle beyond a slack) first, and only
+    the rows that pass it are tested for embeddedness; the ``embedded``
+    column of the result is computed when first read.  Either way a
+    configuration is classified on the chain rebuilt from its stored turn
+    angles, the chain :meth:`ConfigSampleSet.chain` returns, so it agrees
+    with :func:`classify` of that chain.
     """
     n = lengths.n
     if not 3 <= n <= 6:
@@ -356,37 +390,26 @@ def enumerate_configurations(
     total = grid_per_angle**n3
     r1, r2 = float(ell[n - 2]), float(ell[n - 1])
     tol = TANGENT_RTOL * (r1 + r2)
-    # grid points per pass: the embeddedness temporaries hold one entry per
-    # (chain, non-adjacent edge pair), at most ``chunk`` of them
+    # pass size: an embeddedness pass tests ``step`` chains, so its
+    # temporaries hold one entry per (chain, non-adjacent edge pair), at
+    # most ``chunk`` of them; a sweep pass closes ``step`` grid points
     step = max(chunk // max(n * (n - 3) // 2, 1), 1)
 
-    cols: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("free_indices", "branch", "angles", "embedded")
-    }
-
-    for start in range(0, max(total, 1), step):
-        stop = min(start + step, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        if n3 > 0:
-            idx = np.empty((flat.size, n3), dtype=np.int32)
-            rem = flat.copy()
-            for a in range(n3 - 1, -1, -1):
-                idx[:, a] = rem % grid_per_angle
-                rem //= grid_per_angle
-            free = np.column_stack(
-                [grids[a][idx[:, a]] for a in range(n3)]
-            )
-        else:
-            idx = np.zeros((1, 0), dtype=np.int32)
-            free = np.zeros((1, 0))
+    parts = []  # (free_indices, branch, angles) per pass
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total), dtype=np.int64)
+        idx = np.empty((flat.size, n3), dtype=np.int32)
+        free = np.empty((flat.size, n3))
+        for a in range(n3 - 1, -1, -1):
+            idx[:, a] = flat % grid_per_angle
+            flat //= grid_per_angle
+            free[:, a] = grids[a][idx[:, a]]
 
         front = chain_vertices(ell[: n - 2], free)  # (m, n-2, 2): vertices 0..n-3
         anchor = front[:, -1, :]
         d = np.hypot(anchor[:, 0], anchor[:, 1])
 
         feasible = (d > tol) & (d <= r1 + r2 + tol) & (d >= abs(r1 - r2) - tol)
-        if not feasible.any():
-            continue
         fi = np.nonzero(feasible)[0]
         dl = d[fi]
         a_par = (dl * dl + r1 * r1 - r2 * r2) / (2.0 * dl)
@@ -399,66 +422,27 @@ def enumerate_configurations(
         foot = anchor[fi] + a_par[:, None] * u
         normal = np.column_stack((-u[:, 1], u[:, 0]))
 
-        for branch_id in (0, 1):
-            if branch_id == 0:
-                pts = foot + h[:, None] * normal
-                sel = np.ones(fi.size, dtype=bool)
-            else:
-                pts = foot - h[:, None] * normal
-                sel = ~tangent  # tangency already emitted on branch 0
-            if not sel.any():
-                continue
-            rows = fi[sel]
-            verts = np.concatenate(
-                (
-                    front[rows],
-                    pts[sel][:, None, :],
-                    np.zeros((rows.size, 1, 2)),
-                ),
-                axis=1,
-            )
-            theta = turn_angle_array(verts)
-            cols["free_indices"].append(idx[rows] if n3 > 0 else
-                                        np.zeros((rows.size, 0), np.int32))
-            cols["branch"].append(
-                np.full(rows.size, branch_id, dtype=np.int8)
-            )
-            cols["angles"].append(theta)
-            cols["embedded"].append(
-                embedded_mask(chain_vertices(ell, theta[:, : n - 1]))
-            )
-
-    if cols["branch"]:
-        free_indices = np.concatenate(cols["free_indices"])
-        branch = np.concatenate(cols["branch"])
-        angles = np.concatenate(cols["angles"])
-        embedded = np.concatenate(cols["embedded"])
-    else:
-        free_indices = np.zeros((0, n3), np.int32)
-        branch = np.zeros(0, np.int8)
-        angles = np.zeros((0, n))
-        embedded = np.zeros(0, dtype=bool)
-
-    # restore grid-major, branch-minor order across the per-branch blocks
-    if n3 > 0 and branch.size:
-        key = free_indices.astype(np.int64) @ (
-            grid_per_angle ** np.arange(n3 - 1, -1, -1, dtype=np.int64)
+        # both elbow points per grid point, branch 1 dropped at a tangency
+        # (branch 0 already emits it): rows come out grid-major, branch-minor
+        pts = np.stack(
+            (foot + h[:, None] * normal, foot - h[:, None] * normal), axis=1
         )
-        order = np.lexsort((branch, key))
-        free_indices, branch, angles, embedded = (
-            free_indices[order],
-            branch[order],
-            angles[order],
-            embedded[order],
+        keep = np.column_stack((np.ones(fi.size, dtype=bool), ~tangent))
+        point, branch_id = np.nonzero(keep)
+        rows = fi[point]
+        verts = np.concatenate(
+            (front[rows], pts[keep][:, None, :], np.zeros((rows.size, 1, 2))), axis=1
         )
+        parts.append((idx[rows], branch_id.astype(np.int8), turn_angle_array(verts)))
 
-    M = branch.size
-    winding = angles.sum(axis=1) if M else np.zeros(0)
-    convex = (
-        embedded
-        & (np.abs(winding - TAU) <= WINDING_TOL)
-        & (angles.min(axis=1) >= -CONVEX_ANGLE_SLACK if M else np.zeros(0, bool))
-    )
+    free_indices, branch, angles = (np.concatenate(col) for col in zip(*parts))
+    winding = angles.sum(axis=1)
+    cand = np.nonzero(
+        (np.abs(winding - TAU) <= WINDING_TOL)
+        & (angles.min(axis=1) >= -CONVEX_ANGLE_SLACK)
+    )[0]
+    convex = np.zeros(branch.size, dtype=bool)
+    convex[cand] = _embedded_rows(ell, angles[cand], step)
 
     return ConfigSampleSet(
         lengths=lengths,
@@ -467,8 +451,8 @@ def enumerate_configurations(
         branch=branch,
         angles=angles,
         winding=winding,
-        embedded=embedded,
         convex_ccw=convex,
+        pass_rows=step,
     )
 
 

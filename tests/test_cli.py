@@ -307,6 +307,29 @@ class TestAtlas:
         assert dest.read_text().startswith("nu,mu,")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["atlas", "--k", "1"]])
+class TestStraightLineSearchLimits:
+    """Lengths past the exact straight-line search end in a JSON error on
+    stderr and exit code 2, not in a traceback."""
+
+    def test_46_lengths_exit_2(self, runner, tmp_path, command):
+        f = write(tmp_path, "l.json", {"lengths": [1.0] * 46})
+        r = invoke(runner, [command[0], f, *command[1:]])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "n <= 45" in json.loads(r.stderr)["error"]
+
+    def test_report_past_cap_exits_2(self, runner, tmp_path, command, monkeypatch):
+        monkeypatch.setattr(pl.config_space, "MAX_LISTED", 100)
+        f = write(tmp_path, "l.json", {"lengths": [1.0] * 12})  # 462 straight lines
+        r = invoke(runner, [command[0], f, *command[1:]])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {
+            "error": "more than 100 straight-line sign vectors to list"
+        }
+
+
 class TestDemoFigureEight:
     def test_small_sweep(self, runner, tmp_path):
         svg = tmp_path / "out"

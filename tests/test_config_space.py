@@ -7,7 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import polylink as pl
 from polylink import config_space
-from polylink.chain_geometry import embedded_mask
+from polylink.chain_geometry import (
+    TANGENT_RTOL,
+    chain_vertices,
+    embedded_mask,
+    turn_angle_array,
+)
 
 from conftest import random_embedded_ccw, random_generic_lengths, star_polygon
 
@@ -261,6 +266,156 @@ class TestEnumerateConfigurations:
         assert zconv.max() >= hi - 1e-12
         with pytest.raises(ValueError, match="windows"):
             pl.enumerate_configurations(lengths, 10, windows=[(0, 1), (0, 1)])
+
+
+def eager_enumeration(lengths, grid_per_angle, windows=None, step=4096):
+    """The sweep before lazy embeddedness, kept as a test-only reference:
+    one block per elbow branch, ``embedded_mask`` on every row, and a
+    ``lexsort`` that restores grid-major, branch-minor order."""
+    n, ell, n3 = lengths.n, lengths.lengths, lengths.n - 3
+    full = -math.pi + TAU * np.arange(1, grid_per_angle + 1) / grid_per_angle
+    grids = [
+        full if windows is None or windows[a] is None
+        else np.linspace(float(windows[a][0]), float(windows[a][1]), grid_per_angle)
+        for a in range(n3)
+    ]
+    total = grid_per_angle**n3
+    r1, r2 = float(ell[n - 2]), float(ell[n - 1])
+    tol = TANGENT_RTOL * (r1 + r2)
+    blocks = []  # (free_indices, branch, angles, embedded) per branch and pass
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total), dtype=np.int64)
+        idx = np.empty((flat.size, n3), dtype=np.int32)
+        for a in range(n3 - 1, -1, -1):
+            idx[:, a] = flat % grid_per_angle
+            flat //= grid_per_angle
+        free = np.column_stack(
+            [grids[a][idx[:, a]] for a in range(n3)] + [np.zeros((flat.size, 0))]
+        )
+        front = chain_vertices(ell[: n - 2], free)
+        anchor = front[:, -1, :]
+        d = np.hypot(anchor[:, 0], anchor[:, 1])
+        feasible = (d > tol) & (d <= r1 + r2 + tol) & (d >= abs(r1 - r2) - tol)
+        fi = np.nonzero(feasible)[0]
+        dl = d[fi]
+        a_par = (dl * dl + r1 * r1 - r2 * r2) / (2.0 * dl)
+        h_sq = np.maximum(r1 * r1 - a_par * a_par, 0.0)
+        tangent = (np.abs(dl - (r1 + r2)) <= tol) | (
+            np.abs(dl - abs(r1 - r2)) <= tol
+        )
+        h = np.where(tangent, 0.0, np.sqrt(h_sq))
+        u = -anchor[fi] / dl[:, None]
+        foot = anchor[fi] + a_par[:, None] * u
+        normal = np.column_stack((-u[:, 1], u[:, 0]))
+        branches = (
+            (foot + h[:, None] * normal, np.ones(fi.size, dtype=bool)),
+            (foot - h[:, None] * normal, ~tangent),  # a tangency is on branch 0
+        )
+        for branch_id, (pts, sel) in enumerate(branches):
+            rows = fi[sel]
+            pts = pts[sel]
+            verts = np.concatenate(
+                (front[rows], pts[:, None, :], np.zeros((rows.size, 1, 2))), axis=1
+            )
+            theta = turn_angle_array(verts)
+            embedded = embedded_mask(chain_vertices(ell, theta[:, : n - 1]))
+            branch = np.full(rows.size, branch_id, dtype=np.int8)
+            blocks.append((idx[rows], branch, theta, embedded))
+    free_indices, branch, angles, embedded = (
+        np.concatenate([b[k] for b in blocks]) for k in range(4)
+    )
+    key = free_indices.astype(np.int64) @ (
+        grid_per_angle ** np.arange(n3 - 1, -1, -1, dtype=np.int64)
+    )
+    order = np.lexsort((branch, key))
+    free_indices, branch, angles, embedded = (
+        a[order] for a in (free_indices, branch, angles, embedded)
+    )
+    winding = angles.sum(axis=1)
+    convex = (
+        embedded
+        & (np.abs(winding - TAU) <= config_space.WINDING_TOL)
+        & (angles.min(axis=1) >= -config_space.CONVEX_ANGLE_SLACK)
+    )
+    return {
+        "free_indices": free_indices, "branch": branch, "angles": angles,
+        "winding": winding, "embedded": embedded, "convex_ccw": convex,
+    }
+
+
+_SWEEPS = [
+    *(
+        (random_generic_lengths(n, np.random.default_rng(20 + n)).lengths, grid, None)
+        for n, grid in ((3, 30), (4, 1500), (5, 160), (6, 24))
+    ),
+    ([6, 4, 2, 4], 1000, None),
+    ([1, 1, 1, 1], 1000, None),
+    ([2, 2, 2, 1], 1000, None),
+    ([1, 1, 1, 1, 1], 120, None),
+    ([1.3, 1.0, 0.9, 1.2, 0.8], 100, [None, (-0.5, 1.0)]),
+    ([10, 1, 1, 1], 100, None),  # infeasible: no rows
+]
+
+
+@pytest.mark.parametrize("ell, grid, windows", _SWEEPS)
+def test_sweep_matches_eager_reference(ell, grid, windows):
+    lengths = pl.SideLengths(ell)
+    want = eager_enumeration(lengths, grid, windows)
+    got = pl.enumerate_configurations(lengths, grid, windows=windows)
+    for key, col in want.items():
+        have = getattr(got, key)
+        assert have.dtype == col.dtype and have.shape == col.shape, key
+        assert np.array_equal(have, col), key  # bit for bit: same arithmetic
+    assert (len(got) == 0) == (not pl.is_feasible(lengths))
+
+
+class _CountingMask:
+    """Stands in for ``embedded_mask``: records the batch size of each call."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, verts):
+        self.rows.append(len(verts))
+        return embedded_mask(verts)
+
+
+def test_embeddedness_only_on_angle_candidates(monkeypatch):
+    counter = _CountingMask()
+    monkeypatch.setattr(config_space, "embedded_mask", counter)
+    lengths = pl.SideLengths([1.3, 1.0, 0.9, 1.2, 0.8])
+    s = pl.enumerate_configurations(lengths, 200, chunk=5 * 1000)
+    cand = (np.abs(s.winding - TAU) <= config_space.WINDING_TOL) & (
+        s.angles.min(axis=1) >= -config_space.CONVEX_ANGLE_SLACK
+    )
+    assert 0 < cand.sum() < len(s) // 10
+    assert sum(counter.rows) == cand.sum()
+    # a pass tests chunk / (n(n-3)/2 edge pairs) = 1000 chains at most
+    assert max(counter.rows) <= 1000
+    counter.rows.clear()
+    first = s.embedded
+    assert sum(counter.rows) == len(s) and max(counter.rows) <= 1000
+    counter.rows.clear()
+    assert s.embedded is first and counter.rows == []  # computed once
+    assert np.array_equal(s.convex_ccw, first & cand)
+
+
+def test_config_classifies_one_row(monkeypatch):
+    counter = _CountingMask()
+    monkeypatch.setattr(config_space, "embedded_mask", counter)
+    s = pl.enumerate_configurations(pl.SideLengths([6, 4, 2, 4]), 3600)
+    # the one fold: every turn angle is +-pi
+    fold = int(np.argmax(np.abs(s.angles).min(axis=1)))
+    counter.rows.clear()
+    rec = s.config(fold)
+    assert counter.rows == [1] and rec.config_class.embedded is False
+    assert not pl.classify(rec.chain).embedded
+    assert "embedded" not in vars(s)  # the column was not computed
+    assert s.config((fold + 1) % len(s)).config_class.embedded is True
+    assert int(s.embedded.sum()) == len(s) - 1
+    # once the column exists, config reads it
+    counter.rows.clear()
+    assert s.config(fold).config_class.embedded is False and counter.rows == []
 
 
 def test_closures_for_free_angles_branches():
