@@ -164,10 +164,37 @@ class TestReverseFlowStep:
         assert after > before
         assert pl.classify(stepped).embedded
 
+    def test_pentagon_step_pinned(self, pentagon_fixture):
+        # written by the flow with its own ascent loop; the shared line
+        # search must reproduce it bit for bit
+        expected = np.array([
+            [1.9701444466846114, 0.0],
+            [1.9331822588261607, 0.06037851389159836],
+            [2.1995030862802016, 0.9721298741815586],
+            [1.6979686659458204, 1.1179035026608803],
+            [5.704325900524054e-13, 3.448352714485736e-13],
+        ])
+        stepped = pl.reverse_flow_step(pentagon_fixture)
+        assert np.array_equal(stepped.vertices, expected)
+
     def test_energy_cap_refused(self, pentagon_fixture):
         cap = pl.modified_energy(pentagon_fixture)
         with pytest.raises(ValueError, match="no acceptable ascent"):
             pl.reverse_flow_step(pentagon_fixture, energy_cap=cap)
+
+    def test_energy_cap_shortens_step(self, pentagon_fixture):
+        e0 = pl.modified_energy(pentagon_fixture)
+        free0 = pl.ReducedCoords.from_chain(pentagon_fixture).free_angles
+
+        def moved(chain):
+            return np.linalg.norm(pl.ReducedCoords.from_chain(chain).free_angles - free0)
+
+        free_step = pl.reverse_flow_step(pentagon_fixture)
+        capped = pl.reverse_flow_step(pentagon_fixture, energy_cap=1.001 * e0)
+        assert pl.modified_energy(free_step) > 1.001 * e0
+        assert e0 < pl.modified_energy(capped) <= 1.001 * e0
+        assert moved(capped) < moved(free_step) / 2
+        assert pl.classify(capped).embedded
 
     def test_crossing_step_rejected_by_embeddedness(self):
         # polygon with a deep pocket: ascent pushes toward self-contact;

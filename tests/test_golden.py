@@ -2,8 +2,9 @@
 
 The expected outputs in ``fixtures/golden/`` were written by an earlier
 implementation of the atlas and the genericity test (per-candidate
-chains, full sign-vector enumeration); the rewrites must reproduce them
-exactly.  ``python tests/test_golden.py`` rewrites them from the current
+chains, full sign-vector enumeration) and, for ``convexify``, of the flow
+with separate descent and ascent line searches; the rewrites must
+reproduce them exactly.  ``python tests/test_golden.py`` rewrites them from the current
 code, which is only right when an output change is intended.
 """
 
@@ -18,7 +19,8 @@ from polylink.cli import main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
-# output file -> (lengths file, CLI arguments after the lengths file)
+# output file -> (input file, CLI arguments after the input file); input
+# paths are relative to ``fixtures/golden/``
 CASES = {
     "atlas_n7_k3_g8.csv": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "csv"]),
     "atlas_n7_k3_g8.json": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "json"]),
@@ -27,6 +29,8 @@ CASES = {
     "analyze_6424.json": ("l6424.json", ["analyze"]),
     "analyze_1111.json": ("l1111.json", ["analyze"]),
     "analyze_112233.json": ("l112233.json", ["analyze"]),
+    "convexify_pentagon.json": ("../pentagon_nonconvex.json", ["convexify"]),
+    "convexify_hexagon.json": ("../hexagon_nonconvex.json", ["convexify"]),
 }
 
 
