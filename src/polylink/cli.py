@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 I/O or parse error, 2 infeasible or non-generic
 lengths, or lengths the exact straight-line search cannot take (n > 45,
 or more straight lines than one report lists), 3 non-embedded polygon,
 4 flow non-convergence (also used when the demo's expected findings
-fail).  All output is deterministic: floats print with 17 significant
+fail).  ``convexify`` reports ``"generic": null`` for n > 45, where the
+exact straight-line search does not run; the flow itself never needs
+genericity.  All output is deterministic: floats print with 17 significant
 digits and fields appear in fixed order.
 """
 
@@ -32,9 +34,11 @@ from .chain_geometry import (
     vertices_from_turn_angles,
 )
 from .config_space import (
+    MAX_SIGN_N,
     classify,
     enumerate_configurations,
     is_feasible,
+    is_generic,
     straight_line_sign_vectors,
 )
 from .convex_atlas import sample_atlas
@@ -187,11 +191,11 @@ def check(polygon_file):
     sys.exit(EXIT_OK if cls.embedded else EXIT_NONEMBEDDED)
 
 
-def _trace_json(trace) -> dict:
+def _trace_json(trace, generic) -> dict:
     return {
         "status": trace.status,
         "reflected": trace.reflected,
-        "generic": trace.generic,
+        "generic": generic,
         "lengths": list(trace.lengths.lengths),
         "records": [
             {
@@ -234,9 +238,13 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
         trace = run_convexify(chain, params)
     except ValueError as exc:
         _fail(str(exc), EXIT_NONEMBEDDED)
+    # the flow never needs genericity; past the exact search's limit it
+    # is reported as undecided rather than failing a finished run
+    lengths = trace.lengths
+    generic = is_generic(lengths) if lengths.n <= MAX_SIGN_N else None
 
     if trace_path:
-        Path(trace_path).write_text(render_json(_trace_json(trace)) + "\n")
+        Path(trace_path).write_text(render_json(_trace_json(trace, generic)) + "\n")
     if svg_dir:
         frames = [s.vertices for s in trace.snapshots]
         rows = [
@@ -252,7 +260,7 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
                 "status": trace.status,
                 "accepted_steps": trace.accepted_steps,
                 "reflected": trace.reflected,
-                "generic": trace.generic,
+                "generic": generic,
                 "final_energy": last.energy,
                 "final_log_energy": last.log_energy,
                 "final_min_turn_angle": last.min_turn_angle,

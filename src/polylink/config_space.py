@@ -471,6 +471,12 @@ def choose_qrs(angles: TurnAngles) -> tuple[int, int, int]:
     return q, r, s
 
 
+def _rotated(points: np.ndarray, phi: float) -> np.ndarray:
+    """Rows of ``(k, 2)`` points rotated counterclockwise by ``phi``."""
+    c, si = math.cos(phi), math.sin(phi)
+    return points @ np.array([[c, si], [-si, c]])
+
+
 def reconstruct_from_partial_angles(
     lengths: SideLengths,
     partial: dict[int, float],
@@ -504,11 +510,13 @@ def reconstruct_from_partial_angles(
     pos[n - 1] = (0.0, 0.0)
     # forward along the frame subchain: vertices 0..q
     pos[: q + 1] = chain_vertices(ell[: q + 1], [partial[i] for i in range(q)])
-    # backward from the origin corner: vertices n-2..s
-    h = 0.0
-    for i in range(n - 1, s, -1):
-        h -= partial[i]
-        pos[i - 1] = pos[i] - ell[i] * np.array([math.cos(h), math.sin(h)])
+    # backward from the origin corner: vertices n-2..s, laid out as the
+    # reversed subchain and turned onto the heading of its first edge
+    if s < n - 1:
+        back = chain_vertices(
+            ell[n - 1 : s : -1], [-partial[i] for i in range(n - 2, s, -1)]
+        )
+        pos[s : n - 1] = _rotated(back, math.pi - partial[n - 1])[::-1]
 
     # the two middle subchains, each laid out from its first vertex
     mid1 = chain_vertices(ell[q + 1 : r + 1], [partial[i] for i in range(q + 1, r)])
@@ -541,9 +549,6 @@ def reconstruct_from_partial_angles(
         phi = math.atan2(chord[1], chord[0]) - math.atan2(
             local[-1][1], local[-1][0]
         )
-        c, si = math.cos(phi), math.sin(phi)
-        rot = np.array([[c, -si], [si, c]])
-        for i in range(a + 1, b):
-            pos[i] = pos[a] + rot @ local[i - a - 1]
+        pos[a + 1 : b] = pos[a] + _rotated(local[:-1], phi)
 
     return PolygonChain(pos)

@@ -244,31 +244,22 @@ def energy_of_free_angles(free: np.ndarray, lengths: SideLengths) -> float:
 def energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> EnergyGradient:
     """Analytic gradient of the modified energy in free turn angles.
 
-    The chain rule runs through the vertex positions (each angle swings
-    the downstream arm) and through the dependent last angle in the bump
-    sum.  ``projected_gradient`` is tangent to the closure constraint.
+    Derived from the log-domain form: ``E = exp(log E)`` and
+    ``grad E = E * grad log E``, for the full and the closure-projected
+    gradient alike.  ``projected_gradient`` is tangent to the closure
+    constraint.
     """
-    free = coords.free_angles
     chain, defect = coords.chain(lengths)
     if defect > 1e-6 * lengths.perimeter:
         raise ValueError("coordinates are far off the closure manifold")
-    verts = chain.vertices
-    if not embedded_mask(verts[None])[0]:
+    if not embedded_mask(chain.vertices[None])[0]:
         raise ValueError("energy gradient requires an embedded configuration")
-    theta_n = coords.dependent_angle()
-
-    F, vgrad = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
-    amp = sum(bump(-t) for t in free) + bump(-theta_n)
-    dF = _swing_gradient(verts, vgrad)
-
-    d_amp = np.array(
-        [-bump_derivative(-t) + bump_derivative(-theta_n) for t in free]
-    )
-    grad = d_amp * F + amp * dF
-    jac = closure_jacobian(verts)
-    value = amp * F
+    le = log_energy_gradient(coords, lengths, chain=chain)
+    value = math.exp(le.log_value)
     return EnergyGradient(
-        value=value, gradient=grad, projected_gradient=project_tangent(grad, jac)
+        value=value,
+        gradient=value * le.gradient,
+        projected_gradient=value * le.projected_gradient,
     )
 
 
@@ -302,7 +293,9 @@ class LogEnergy:
 
     ``bump_gradient`` is the bump-factor part of the gradient (the rest
     is the gradient of log F, which acts as the contact barrier).
-    ``chain`` is the configuration the energy was evaluated on."""
+    ``chain`` is the configuration the energy was evaluated on, with all
+    ``n`` of its turn angles in ``full_angles`` and its closure Jacobian
+    in ``jacobian``."""
 
     log_value: float
     gradient: np.ndarray  # of log E, full
@@ -311,6 +304,8 @@ class LogEnergy:
     elliptic: float
     min_turn_angle: float
     chain: PolygonChain
+    full_angles: np.ndarray
+    jacobian: np.ndarray
 
 
 def log_energy_gradient(
@@ -340,10 +335,13 @@ def log_energy_gradient(
     logs = np.array([log_bump(v) for v in x])
     log_amp = _logsumexp(logs)
     F, vgrad = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
+    jac = closure_jacobian(verts)
 
     if log_amp == -math.inf:
         zero = np.zeros(n - 1)
-        return LogEnergy(-math.inf, zero, zero, zero, F, float(full.min()), chain)
+        return LogEnergy(
+            -math.inf, zero, zero, zero, F, float(full.min()), chain, full, jac
+        )
 
     # softmax weights of the active bumps
     w = np.exp(logs - log_amp)
@@ -351,7 +349,6 @@ def log_energy_gradient(
     contrib = w * dlog_bump
     d_log_amp = -contrib[:-1] + contrib[-1]
     grad = d_log_amp + _swing_gradient(verts, vgrad) / F
-    jac = closure_jacobian(verts)
     return LogEnergy(
         log_value=log_amp + math.log(F),
         gradient=grad,
@@ -360,4 +357,6 @@ def log_energy_gradient(
         elliptic=F,
         min_turn_angle=float(full.min()),
         chain=chain,
+        full_angles=full,
+        jacobian=jac,
     )

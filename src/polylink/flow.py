@@ -4,7 +4,9 @@ A trajectory lives in reduced turn-angle coordinates (side lengths are
 then preserved exactly); after each trial step the two closure equations
 are re-solved by Gauss-Newton.  A step is accepted only when the energy
 strictly decreased and the candidate polygon is embedded, so every stored
-iterate is a valid configuration.  Descent is steered by the log-domain
+iterate is a valid configuration.  One backtracking line search serves
+both this descent and the reverse (ascent) step, which passes the
+opposite energy test.  Descent is steered by the log-domain
 energy: in plain doubles the bump factor underflows to zero once every
 reflex angle is above about -0.037, which would strand the iteration
 short of convexity; the log form keeps a usable gradient until the
@@ -29,7 +31,7 @@ from .chain_geometry import (
     reflect_x,
     vertices_from_turn_angles,
 )
-from .config_space import classify, is_generic
+from .config_space import classify
 from .energy import (
     ReducedCoords,
     closure_jacobian,
@@ -91,12 +93,6 @@ class FlowTrace:
     snapshots: list[FlowSnapshot] = field(default_factory=list)
 
     @property
-    def generic(self) -> bool:
-        """Whether the side lengths are generic; decided when read, because
-        the flow never needs it and the exact check grows as 2^n."""
-        return is_generic(self.lengths)
-
-    @property
     def accepted_steps(self) -> int:
         return len(self.records) - 1
 
@@ -141,9 +137,7 @@ def project_to_closure(
     )
 
 
-def _balanced_lift_direction(
-    full_angles: np.ndarray, verts: np.ndarray
-) -> np.ndarray | None:
+def _balanced_lift_direction(le) -> np.ndarray | None:
     """Raise every reflex angle at the same rate, tangent to closure.
 
     The log-energy gradient is a softmax over the reflex angles: when
@@ -152,19 +146,18 @@ def _balanced_lift_direction(
     them together is not the steepest direction but makes fast progress,
     and acceptance still demands a strict energy decrease.
     """
-    mask = full_angles < 0.0
+    mask = le.full_angles < 0.0
     if not mask.any():
         return None
     g = mask[:-1].astype(float) - (1.0 if mask[-1] else 0.0)
-    jac = closure_jacobian(verts)
-    d = project_tangent(g, jac)
+    d = project_tangent(g, le.jacobian)
     norm = float(np.linalg.norm(d))
     if not math.isfinite(norm) or norm < 1e-9:
         return None
     return d / norm
 
 
-def _wall_sliding_direction(le, verts: np.ndarray) -> np.ndarray | None:
+def _wall_sliding_direction(le) -> np.ndarray | None:
     """Descent direction that also stays tangent to the contact barrier.
 
     Near self-contact the energy splits into a huge bump-factor cliff and
@@ -174,9 +167,8 @@ def _wall_sliding_direction(le, verts: np.ndarray) -> np.ndarray | None:
     from the gradient leaves the component that slides along the wall
     while still strictly decreasing the energy to first order.
     """
-    jac = closure_jacobian(verts)
     g_f = le.gradient - le.bump_gradient  # gradient of log F alone
-    rows = np.vstack((jac, g_f))
+    rows = np.vstack((le.jacobian, g_f))
     gram = rows @ rows.T
     try:
         lam = np.linalg.solve(gram, rows @ le.gradient)
@@ -191,27 +183,42 @@ def _wall_sliding_direction(le, verts: np.ndarray) -> np.ndarray | None:
     return d / norm
 
 
-def _line_search(free, direction, s_start, s_floor, le, lengths, params):
+def _evaluate(free, lengths, params):
+    """Project free angles onto closure and evaluate the log energy there;
+    returns ``(projected free angles, LogEnergy)``."""
+    free, chain = project_to_closure(
+        free,
+        lengths,
+        tol=params.closure_tol,
+        max_iter=params.closure_max_iter,
+        return_chain=True,
+    )
+    return free, log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
+
+
+def _line_search(free, direction, s_start, s_floor, accept, lengths, params):
     """Backtrack along one direction; returns (free, le, step) or None
-    when no acceptable step at or above ``s_floor`` exists."""
+    when no acceptable step at or above ``s_floor`` exists.
+
+    A trial is accepted when ``accept`` passes its log energy and it is
+    embedded, tested in that order."""
     s = s_start
     while s >= s_floor:
         try:
-            cand, chain = project_to_closure(
-                free + s * direction,
-                lengths,
-                tol=params.closure_tol,
-                max_iter=params.closure_max_iter,
-                return_chain=True,
-            )
-            cand_le = log_energy_gradient(ReducedCoords(cand), lengths, chain=chain)
+            cand, cand_le = _evaluate(free + s * direction, lengths, params)
         except (ValueError, np.linalg.LinAlgError):
             s *= params.backtrack
             continue
-        if cand_le.log_value < le.log_value and classify(cand_le.chain).embedded:
+        if accept(cand_le.log_value) and classify(cand_le.chain).embedded:
             return cand, cand_le, s
         s *= params.backtrack
     return None
+
+
+def _record(iteration: int, le, step: float) -> FlowRecord:
+    return FlowRecord(
+        iteration, math.exp(le.log_value), le.log_value, le.min_turn_angle, step
+    )
 
 
 def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrace:
@@ -236,21 +243,14 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
     chain = canonicalize(chain)
     lengths = chain.side_lengths()
 
-    free, chain = project_to_closure(
-        ReducedCoords.from_chain(chain).free_angles,
-        lengths,
-        tol=params.closure_tol,
-        max_iter=params.closure_max_iter,
-        return_chain=True,
-    )
-    le = log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
+    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
 
     trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
-    trace.records.append(
-        FlowRecord(0, math.exp(le.log_value) if le.log_value > -math.inf else 0.0,
-                   le.log_value, le.min_turn_angle, 0.0)
-    )
+    trace.records.append(_record(0, le, 0.0))
     trace.snapshots.append(FlowSnapshot(0, le.chain.vertices.copy()))
+
+    def lower(log_value):  # strict descent from the current iterate
+        return log_value < le.log_value
 
     step = params.initial_step
     accepted = 0
@@ -270,24 +270,20 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         step = min(step / params.backtrack, params.initial_step)
         stage1_floor = max(step * params.backtrack**8, params.min_step)
         hit = _line_search(
-            free, direction, step, stage1_floor, le, lengths, params
+            free, direction, step, stage1_floor, lower, lengths, params
         )
         if hit is None or hit[2] < 0.05 * params.initial_step:
             # gradient progress has collapsed (tied reflex angles in
             # lockstep, or the contact barrier); try coarser but more
             # robust directions, each only searched down to the step the
             # incumbent already achieved, and keep whichever moves farthest
-            full = np.append(free, ReducedCoords(free).dependent_angle())
-            for alt_dir in (
-                _balanced_lift_direction(full, le.chain.vertices),
-                _wall_sliding_direction(le, le.chain.vertices),
-            ):
+            for alt_dir in (_balanced_lift_direction(le), _wall_sliding_direction(le)):
                 if alt_dir is None:
                     continue
                 floor = params.min_step if hit is None else 2.0 * hit[2]
                 alt = _line_search(
                     free, alt_dir, params.initial_step, floor,
-                    le, lengths, params,
+                    lower, lengths, params,
                 )
                 if alt is not None and (hit is None or alt[2] > hit[2]):
                     hit = alt
@@ -298,7 +294,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
                 direction,
                 stage1_floor * params.backtrack,
                 params.min_step,
-                le,
+                lower,
                 lengths,
                 params,
             )
@@ -308,15 +304,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
 
         free, le, step = hit
         accepted += 1
-        trace.records.append(
-            FlowRecord(
-                accepted,
-                math.exp(le.log_value) if le.log_value > -math.inf else 0.0,
-                le.log_value,
-                le.min_turn_angle,
-                step,
-            )
-        )
+        trace.records.append(_record(accepted, le, step))
         if accepted % params.snapshot_stride == 0:
             trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
             last_snap = accepted
@@ -354,21 +342,13 @@ def reverse_flow_step(
         raise ValueError("reverse step expects a counterclockwise polygon")
     chain = canonicalize(chain)
     lengths = chain.side_lengths()
-    free, chain = project_to_closure(
-        ReducedCoords.from_chain(chain).free_angles,
-        lengths,
-        tol=params.closure_tol,
-        max_iter=params.closure_max_iter,
-        return_chain=True,
-    )
-    le = log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
+    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
     if le.log_value == -math.inf:
         raise ValueError("zero gradient: no ascent direction from a convex interior")
     direction = le.projected_gradient
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         raise ValueError("zero gradient: no ascent direction")
-    direction = direction / norm
     if energy_cap is None:
         log_cap = math.inf
     elif energy_cap <= 0.0:
@@ -376,25 +356,13 @@ def reverse_flow_step(
     else:
         log_cap = math.log(energy_cap)
 
-    step = params.initial_step
-    while step >= params.min_step:
-        try:
-            cand, chain = project_to_closure(
-                free + step * direction,
-                lengths,
-                tol=params.closure_tol,
-                max_iter=params.closure_max_iter,
-                return_chain=True,
-            )
-            cand_le = log_energy_gradient(ReducedCoords(cand), lengths, chain=chain)
-        except (ValueError, np.linalg.LinAlgError):
-            step *= params.backtrack
-            continue
-        if (
-            cand_le.log_value > le.log_value
-            and cand_le.log_value <= log_cap
-            and classify(cand_le.chain).embedded
-        ):
-            return cand_le.chain
-        step *= params.backtrack
-    raise ValueError("no acceptable ascent step above the step floor")
+    def higher(log_value):  # strict ascent, at most up to the cap
+        return le.log_value < log_value <= log_cap
+
+    hit = _line_search(
+        free, direction / norm, params.initial_step, params.min_step,
+        higher, lengths, params,
+    )
+    if hit is None:
+        raise ValueError("no acceptable ascent step above the step floor")
+    return hit[1].chain

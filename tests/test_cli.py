@@ -263,6 +263,22 @@ class TestConvexify:
         assert out["status"] == "converged_convex"
         assert out["generic"] == pl.is_generic(chain.side_lengths())
 
+    def test_48_gon_generic_undecided(self, runner, tmp_path):
+        # past the exact search's n <= 45 limit the flow still runs and
+        # the genericity flag is reported as undecided
+        phi = TAU * np.arange(48) / 48
+        radius = np.ones(48)
+        radius[5] = 0.9
+        verts = np.column_stack((radius * np.cos(phi), radius * np.sin(phi)))
+        f = write(tmp_path, "p.json", {"vertices": verts.tolist()})
+        tr = tmp_path / "t.json"
+        r = invoke(runner, ["convexify", f, "--trace", str(tr)])
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["status"] == "converged_convex"
+        assert '"generic": null' in r.output and out["generic"] is None
+        assert json.loads(tr.read_text())["generic"] is None
+
 
 class TestAtlas:
     def test_2221_single_row(self, runner, tmp_path):
