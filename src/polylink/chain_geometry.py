@@ -209,15 +209,27 @@ def _edge_products(verts: np.ndarray):
     product of each edge and the edge after it, shape ``(..., n)``."""
     e = verts - _cyclic_prev(verts)
     nxt = np.concatenate((e[..., 1:, :], e[..., :1, :]), axis=-2)  # edge leaving vertex i
-    cross = e[..., 0] * nxt[..., 1] - e[..., 1] * nxt[..., 0]
-    dot = e[..., 0] * nxt[..., 0] + e[..., 1] * nxt[..., 1]
-    return e, cross, dot
+    return (e, *_cross_dot(e[..., 0], e[..., 1], nxt[..., 0], nxt[..., 1]))
+
+
+def _cross_dot(ex, ey, nx, ny):
+    return ex * ny - ey * nx, ex * nx + ey * ny
 
 
 def _turn_angles(cross: np.ndarray, dot: np.ndarray) -> np.ndarray:
     theta = np.arctan2(cross, dot)
     # arctan2 returns values in [-pi, pi]; fold -pi onto +pi
     return np.where(theta <= -math.pi, math.pi, theta)
+
+
+def edge_turn_angles(e, nxt) -> np.ndarray:
+    """Signed turn angles from edge vectors ``e`` to edge vectors ``nxt``.
+
+    Each is an ``(x, y)`` pair of same-shape arrays, or an array of shape
+    ``(2, ...)``.  This is the formula of :func:`turn_angle_array`, so the
+    same edge vectors give the same bits.
+    """
+    return _turn_angles(*_cross_dot(*e, *nxt))
 
 
 def turn_angle_array(verts: np.ndarray, return_degenerate: bool = False):

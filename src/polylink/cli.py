@@ -8,11 +8,13 @@ classification), ``convexify`` (energy descent with trace/SVG output),
 Exit codes: 0 success, 1 I/O or parse error, 2 infeasible or non-generic
 lengths, or lengths the exact straight-line search cannot take (n > 45,
 or more straight lines than one report lists), 3 non-embedded polygon,
-4 flow non-convergence (also used when the demo's expected findings
-fail).  ``convexify`` reports ``"generic": null`` for n > 45, where the
-exact straight-line search does not run; the flow itself never needs
-genericity.  All output is deterministic: floats print with 17 significant
-digits and fields appear in fixed order.
+4 flow non-convergence, or a flow that fails on an embedded polygon
+(closure projection, winding) with a JSON error on stderr; 4 is also
+used when the demo's expected findings fail.  ``convexify`` reports
+``"generic": null`` for n > 45, where the exact straight-line search
+does not run; the flow itself never needs genericity.  All output is
+deterministic: floats print with 17 significant digits and fields
+appear in fixed order.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .config_space import (
     straight_line_sign_vectors,
 )
 from .convex_atlas import sample_atlas
-from .flow import CONVERGED, FlowParams, convexify as run_convexify
+from .flow import CONVERGED, FlowParams, NotEmbeddedError
+from .flow import convexify as run_convexify
 from .svg_frames import write_frame_set
 
 EXIT_OK = 0
@@ -236,8 +239,10 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
         _fail(f"bad flow options: {exc}", EXIT_PARSE)
     try:
         trace = run_convexify(chain, params)
-    except ValueError as exc:
+    except NotEmbeddedError as exc:
         _fail(str(exc), EXIT_NONEMBEDDED)
+    except ValueError as exc:  # closure failure, or a winding other than +-2 pi
+        _fail(str(exc), EXIT_NOCONVERGE)
     # the flow never needs genericity; past the exact search's limit it
     # is reported as undecided rather than failing a finished run
     lengths = trace.lengths

@@ -24,9 +24,9 @@ from .chain_geometry import (
     TurnAngles,
     chain_vertices,
     circle_circle_intersection,
+    edge_turn_angles,
     embedded_mask,
     segment_intersection,  # noqa: F401  re-exported: perfbench/tracer.py counts calls here
-    turn_angle_array,
     turn_angles_from_vertices,
     vertices_from_turn_angles,
 )
@@ -278,9 +278,14 @@ class ConfigSampleSet:
     :meth:`config` to materialize one sample (vertices are rebuilt from
     the stored turn angles).  Samples appear in grid-major, branch-minor
     order.  ``free_indices``, ``branch``, ``angles``, ``winding`` and
-    ``convex_ccw`` are computed by :func:`enumerate_configurations`;
-    ``embedded`` is computed from the stored angles when first read, in
-    passes of ``pass_rows`` chains, and then kept.
+    ``convex_ccw`` are computed by :func:`enumerate_configurations`,
+    which allocates each column once at its final size and fills it pass
+    by pass: turn angles ``0 .. n-5`` once per prefix of the first
+    ``n - 4`` free angles, angle ``n - 4`` once per grid point, angles
+    ``n-3 .. n-1``, winding and convexity per row.  The sweep's memory
+    is this result plus 16 bytes per grid point.  ``embedded`` is
+    computed from the stored angles when first read, in passes of
+    ``pass_rows`` chains, and then kept.
     """
 
     lengths: SideLengths
@@ -340,6 +345,72 @@ def _embedded_rows(
     return out
 
 
+def _prefixes(ell: np.ndarray, grids: list[np.ndarray]):
+    """Per-prefix work of the sweep.
+
+    A prefix fixes the first ``n - 4`` free angles (none for n <= 4), one
+    value from each of ``grids``; prefixes are ranked in lexicographic
+    order of their grid indices.  Returns, for each prefix, vertex
+    ``n - 4`` (the origin for n = 3), the heading of edge ``n - 3``
+    before the last free angle turns it, the edges ``0 .. n-4`` and the
+    turn angles ``0 .. n-5``, with shapes ``(2, P)``, ``(P,)``,
+    ``(2, P, n-3)`` and ``(P, n-4)``; n = 3 has no prefix edges or turn
+    angles.  The vertices are those of
+    :func:`~polylink.chain_geometry.chain_vertices`, the heading is the
+    sum ``np.cumsum`` forms there, and edges and turn angles are the
+    subtractions and formula of
+    :func:`~polylink.chain_geometry.turn_angle_array`, so every value has
+    the bits the full chain would give it.
+    """
+    n = ell.size
+    rank = np.arange(math.prod(g.size for g in grids))
+    free = np.empty((rank.size, len(grids)))
+    for a in range(len(grids) - 1, -1, -1):
+        free[:, a] = grids[a][rank % grids[a].size]
+        rank //= grids[a].size
+    # the origin (vertex n - 1, where the chain closes), then vertices 0 .. n-4
+    chain = np.concatenate(
+        (np.zeros((len(free), 1, 2)), chain_vertices(ell[: n - 3], free)), axis=1
+    )
+    chain = np.moveaxis(chain, -1, 0)  # (2, P, n-2): x and y
+    heading = np.full(len(free), -0.0)  # -0.0 + x is x, bit for bit
+    for a in range(len(grids)):
+        heading += free[:, a]
+    edges = np.diff(chain, axis=-1)
+    turns = edge_turn_angles(edges[..., :-1], edges[..., 1:])
+    return chain[..., -1], heading, edges, turns
+
+
+def _closable(anchor: np.ndarray, r1: float, r2: float, tol: float):
+    """Grid points whose elbow circles meet: their positions in
+    ``anchor`` (vertex ``n - 3``, shape ``(2, m)``), their distance from
+    the origin and whether the circles are tangent."""
+    d = np.hypot(anchor[0], anchor[1])
+    fi = np.nonzero((d > tol) & (d <= r1 + r2 + tol) & (d >= abs(r1 - r2) - tol))[0]
+    d = d[fi]
+    tangent = (np.abs(d - (r1 + r2)) <= tol) | (np.abs(d - abs(r1 - r2)) <= tol)
+    return fi, d, tangent
+
+
+def _elbows(vertex: np.ndarray, d: np.ndarray, tangent: np.ndarray, r1, r2):
+    """Rows of the closable grid points: each one's position in
+    ``vertex`` (vertex ``n - 3``, shape ``(2, m)``, at distance ``d``
+    from the origin), its elbow branch, and the elbow vertex ``n - 2``,
+    shape ``(2, rows)``.  Branch 1 is dropped at a tangency (branch 0
+    already emits it), so rows come out grid-major, branch-minor."""
+    a_par = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h_sq = np.maximum(r1 * r1 - a_par * a_par, 0.0)
+    h = np.where(tangent, 0.0, np.sqrt(h_sq))
+    u = -vertex / d
+    foot = vertex + a_par * u
+    normal = np.stack((-u[1], u[0]))
+    keep = np.column_stack((np.ones(d.size, dtype=bool), ~tangent))
+    point, branch_id = np.nonzero(keep)
+    elbow = np.stack((foot + h * normal, foot - h * normal), axis=-1)
+    elbow = elbow.reshape(2, -1).compress(keep.ravel(), axis=1)
+    return point, branch_id.astype(np.int8), elbow
+
+
 def enumerate_configurations(
     lengths: SideLengths,
     grid_per_angle: int,
@@ -359,13 +430,31 @@ def enumerate_configurations(
     desk-scale oracle.
 
     The sweep computes the grid indices, branches, turn angles, winding
-    and ``convex_ccw``.  Convexity is decided by the turn-angle test
-    (winding ``2 pi``, no negative angle beyond a slack) first, and only
-    the rows that pass it are tested for embeddedness; the ``embedded``
-    column of the result is computed when first read.  Either way a
-    configuration is classified on the chain rebuilt from its stored turn
-    angles, the chain :meth:`ConfigSampleSet.chain` returns, so it agrees
-    with :func:`classify` of that chain.
+    and ``convex_ccw``.  Each piece of work is done where its inputs
+    vary:
+
+    * per prefix (the first ``n - 4`` free angles): vertices ``0 ..
+      n-4``, their heading sum and turn angles ``0 .. n-5``;
+    * per grid point (a prefix and the last free angle): vertex
+      ``n - 3``, one addition past the prefix, whether and how the elbow
+      closes, and turn angle ``n - 4``;
+    * per row (grid point and elbow branch): the elbow vertex and turn
+      angles ``n-3 .. n-1``, from the edges around it.
+
+    The values are the bits that rebuilding each row's full chain and
+    calling :func:`~polylink.chain_geometry.turn_angle_array` would give.
+    A counting pass stores vertex ``n - 3`` of every grid point and sizes
+    the columns; a second pass fills them.  Besides the result, memory
+    holds those 16 bytes per grid point, a few numbers per prefix and one
+    pass's temporaries, which ``chunk`` bounds.
+
+    Convexity is decided by the turn-angle test (winding ``2 pi``, no
+    negative angle beyond a slack) first, and only the rows that pass it
+    are tested for embeddedness; the ``embedded`` column of the result is
+    computed when first read.  Either way a configuration is classified
+    on the chain rebuilt from its stored turn angles, the chain
+    :meth:`ConfigSampleSet.chain` returns, so it agrees with
+    :func:`classify` of that chain.
     """
     n = lengths.n
     if not 3 <= n <= 6:
@@ -390,59 +479,86 @@ def enumerate_configurations(
     total = grid_per_angle**n3
     r1, r2 = float(ell[n - 2]), float(ell[n - 1])
     tol = TANGENT_RTOL * (r1 + r2)
-    # pass size: an embeddedness pass tests ``step`` chains, so its
+    slack = -CONVEX_ANGLE_SLACK
+    # pass sizes: an embeddedness pass tests ``step`` chains, so its
     # temporaries hold one entry per (chain, non-adjacent edge pair), at
-    # most ``chunk`` of them; a sweep pass closes ``step`` grid points
+    # most ``chunk`` of them; a sweep pass closes ``sweep`` grid points,
+    # and its temporaries hold at most about 32 numbers per grid point
     step = max(chunk // max(n * (n - 3) // 2, 1), 1)
+    sweep = max(chunk // 32, 1)
+    passes = [(s, min(s + sweep, total)) for s in range(0, total, sweep)]
 
-    parts = []  # (free_indices, branch, angles) per pass
-    for start in range(0, total, step):
-        flat = np.arange(start, min(start + step, total), dtype=np.int64)
-        idx = np.empty((flat.size, n3), dtype=np.int32)
-        free = np.empty((flat.size, n3))
+    # a grid point is a prefix and a last free angle; for n = 3 the one
+    # grid point has no free angle, and edge 0 heads along +x
+    base, heading, edges, turns = _prefixes(ell, grids[:-1])
+    last = grids[-1] if n3 else np.zeros(1)
+    anchors = np.empty((2, total))  # vertex n - 3 of every grid point
+
+    def count(start, stop):
+        """Store vertex n - 3 of grid points start .. stop - 1; count
+        their rows."""
+        pre, j = np.divmod(np.arange(start, stop), last.size)
+        h = heading.take(pre) + last.take(j)
+        anchor = anchors[:, start:stop]
+        np.multiply(ell[n - 3], (np.cos(h), np.sin(h)), out=anchor)
+        anchor += base.take(pre, axis=1)  # as np.cumsum adds in chain_vertices
+        fi, _, tangent = _closable(anchor, r1, r2, tol)
+        return fi.size + int(np.count_nonzero(~tangent))
+
+    def fill(start, stop, end):
+        """Fill the rows of grid points start .. stop - 1, from row end
+        on; returns the row after them."""
+        anchor = anchors[:, start:stop]
+        fi, dl, tangent = _closable(anchor, r1, r2, tol)
+        vertex = anchor.take(fi, axis=1)  # vertex n - 3 where the elbow closes
+        point, branch_id, elbow = _elbows(vertex, dl, tangent, r1, r2)
+        out = slice(end, end + point.size)
+        branch[out] = branch_id
+        cell = start + fi.take(point)
         for a in range(n3 - 1, -1, -1):
-            idx[:, a] = flat % grid_per_angle
-            flat //= grid_per_angle
-            free[:, a] = grids[a][idx[:, a]]
+            free_indices[out, a] = cell % grid_per_angle
+            cell //= grid_per_angle
 
-        front = chain_vertices(ell[: n - 2], free)  # (m, n-2, 2): vertices 0..n-3
-        anchor = front[:, -1, :]
-        d = np.hypot(anchor[:, 0], anchor[:, 1])
+        # per grid point: edge n - 3 and turn angles 0 .. n-4, the
+        # prefix's and the one where edge n - 3 leaves it (none for n = 3)
+        pre = (start + fi) // last.size
+        mid = vertex - base.take(pre, axis=1)
+        joint = edge_turn_angles(edges[..., -1:].take(pre, axis=1), mid[..., None])
+        front = np.concatenate((turns.take(pre, axis=0), joint), axis=1)
+        ang = angles[out]
+        ang[:, :n3] = front.take(point, axis=0)
+        ok = (front >= slack).all(axis=1).take(point)
+        # edge 0 closes the cycle; for n = 3 it is edge n - 3 itself
+        wrap = edges[..., 0].take(pre, axis=1) if n > 3 else mid
 
-        feasible = (d > tol) & (d <= r1 + r2 + tol) & (d >= abs(r1 - r2) - tol)
-        fi = np.nonzero(feasible)[0]
-        dl = d[fi]
-        a_par = (dl * dl + r1 * r1 - r2 * r2) / (2.0 * dl)
-        h_sq = np.maximum(r1 * r1 - a_par * a_par, 0.0)
-        tangent = (np.abs(dl - (r1 + r2)) <= tol) | (
-            np.abs(dl - abs(r1 - r2)) <= tol
+        # per row: the edges into and out of the elbow, and turn angles
+        # n-3 .. n-1
+        into = elbow - vertex.take(point, axis=1)
+        close = np.subtract(0.0, elbow, out=elbow)  # edge n - 1, into the origin
+        pairs = (
+            (mid.take(point, axis=1), into),
+            (into, close),
+            (close, wrap.take(point, axis=1)),
         )
-        h = np.where(tangent, 0.0, np.sqrt(h_sq))
-        u = -anchor[fi] / dl[:, None]
-        foot = anchor[fi] + a_par[:, None] * u
-        normal = np.column_stack((-u[:, 1], u[:, 0]))
+        for col, (e, nxt) in enumerate(pairs, n3):
+            ang[:, col] = edge_turn_angles(e, nxt)
+            ok &= ang[:, col] >= slack
 
-        # both elbow points per grid point, branch 1 dropped at a tangency
-        # (branch 0 already emits it): rows come out grid-major, branch-minor
-        pts = np.stack(
-            (foot + h[:, None] * normal, foot - h[:, None] * normal), axis=1
-        )
-        keep = np.column_stack((np.ones(fi.size, dtype=bool), ~tangent))
-        point, branch_id = np.nonzero(keep)
-        rows = fi[point]
-        verts = np.concatenate(
-            (front[rows], pts[keep][:, None, :], np.zeros((rows.size, 1, 2))), axis=1
-        )
-        parts.append((idx[rows], branch_id.astype(np.int8), turn_angle_array(verts)))
+        winding[out] = ang.sum(axis=1)
+        ok &= np.abs(winding[out] - TAU) <= WINDING_TOL
+        cand = np.nonzero(ok)[0]
+        convex[out][cand] = _embedded_rows(ell, ang[cand], step)
+        return out.stop
 
-    free_indices, branch, angles = (np.concatenate(col) for col in zip(*parts))
-    winding = angles.sum(axis=1)
-    cand = np.nonzero(
-        (np.abs(winding - TAU) <= WINDING_TOL)
-        & (angles.min(axis=1) >= -CONVEX_ANGLE_SLACK)
-    )[0]
-    convex = np.zeros(branch.size, dtype=bool)
-    convex[cand] = _embedded_rows(ell, angles[cand], step)
+    size = sum(count(start, stop) for start, stop in passes)
+    free_indices = np.empty((size, n3), dtype=np.int32)
+    branch = np.empty(size, dtype=np.int8)
+    angles = np.empty((size, n))
+    winding = np.empty(size)
+    convex = np.zeros(size, dtype=bool)
+    end = 0
+    for start, stop in passes:
+        end = fill(start, stop, end)
 
     return ConfigSampleSet(
         lengths=lengths,

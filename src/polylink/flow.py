@@ -31,7 +31,7 @@ from .chain_geometry import (
     reflect_x,
     vertices_from_turn_angles,
 )
-from .config_space import classify
+from .config_space import ClosureError, classify
 from .energy import (
     ReducedCoords,
     closure_jacobian,
@@ -42,6 +42,10 @@ from .energy import (
 CONVERGED = "converged_convex"
 MAX_ITERATIONS = "max_iterations"
 STALLED = "stalled"
+
+
+class NotEmbeddedError(ValueError):
+    """The polygon handed to the flow is not embedded."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def project_to_closure(
     free = np.asarray(free_angles, dtype=float).copy()
     chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
     if defect > 0.1 * lengths.perimeter:
-        raise ValueError("closure defect too large for Newton projection")
+        raise ClosureError("closure defect too large for Newton projection")
     for _ in range(max_iter):
         if defect <= tol:
             return (free, chain) if return_chain else free
@@ -131,7 +135,7 @@ def project_to_closure(
         lam = np.linalg.solve(jjt, verts[-1])
         free -= jac.T @ lam
         chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
-    raise ValueError(
+    raise ClosureError(
         f"closure Newton did not converge in {max_iter} iterations "
         f"(defect {defect:.3e})"
     )
@@ -233,7 +237,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
     params = params or FlowParams()
     cls = classify(chain)
     if not cls.embedded:
-        raise ValueError("convexify requires an embedded input polygon")
+        raise NotEmbeddedError("convexify requires an embedded input polygon")
     reflected = False
     if abs(cls.winding + TAU) <= 1e-6:
         chain = reflect_x(chain)
@@ -337,7 +341,7 @@ def reverse_flow_step(
     params = params or FlowParams()
     cls = classify(chain)
     if not cls.embedded:
-        raise ValueError("reverse step requires an embedded polygon")
+        raise NotEmbeddedError("reverse step requires an embedded polygon")
     if abs(cls.winding - TAU) > 1e-6:
         raise ValueError("reverse step expects a counterclockwise polygon")
     chain = canonicalize(chain)

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import polylink as pl
+from polylink import flow
 from polylink.cli import main, render_json
 
 from conftest import random_embedded_ccw
@@ -235,6 +236,20 @@ class TestConvexify:
         )
         r = invoke(runner, ["convexify", f])
         assert r.exit_code == 3
+        assert json.loads(r.stderr) == {
+            "error": "convexify requires an embedded input polygon"
+        }
+
+    def test_closure_failure_exits_4(self, runner, monkeypatch):
+        # an embedded polygon whose flow fails is not reported as non-embedded
+        def no_closure(*args, **kwargs):
+            raise pl.ClosureError("closure Newton did not converge")
+
+        monkeypatch.setattr(flow, "project_to_closure", no_closure)
+        r = invoke(runner, ["convexify", str(FIXTURES / "pentagon_nonconvex.json")])
+        assert r.exit_code == 4
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {"error": "closure Newton did not converge"}
 
     @pytest.mark.parametrize(
         "option, value, message",

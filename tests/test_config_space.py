@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -343,6 +344,7 @@ def eager_enumeration(lengths, grid_per_angle, windows=None, step=4096):
     }
 
 
+_N6 = random_generic_lengths(6, np.random.default_rng(7), margin=0.05).lengths
 _SWEEPS = [
     *(
         (random_generic_lengths(n, np.random.default_rng(20 + n)).lengths, grid, None)
@@ -354,6 +356,11 @@ _SWEEPS = [
     ([1, 1, 1, 1, 1], 120, None),
     ([1.3, 1.0, 0.9, 1.2, 0.8], 100, [None, (-0.5, 1.0)]),
     ([10, 1, 1, 1], 100, None),  # infeasible: no rows
+    # c04-style zoom windows: a degenerate window (a, a) repeats one value
+    # of a prefix angle at every grid index
+    ([1.3, 1.0, 0.9, 1.2, 0.8], 150, [(1.2, 1.2), (0.4, 1.8)]),
+    (_N6, 30, [(1.0, 1.0), (1.0, 1.0), (0.2, 1.8)]),
+    (_N6, 30, [None, None, (-1.0, 0.5)]),  # a window on the last free angle
 ]
 
 
@@ -367,6 +374,40 @@ def test_sweep_matches_eager_reference(ell, grid, windows):
         assert have.dtype == col.dtype and have.shape == col.shape, key
         assert np.array_equal(have, col), key  # bit for bit: same arithmetic
     assert (len(got) == 0) == (not pl.is_feasible(lengths))
+
+
+_COLUMNS = ("free_indices", "branch", "angles", "winding", "convex_ccw")
+
+
+@pytest.mark.parametrize("n, grid", [(5, 60), (6, 14)])
+def test_sweep_columns_do_not_depend_on_chunk(n, grid):
+    lengths = random_generic_lengths(n, np.random.default_rng(30 + n), margin=0.05)
+    want = pl.enumerate_configurations(lengths, grid)
+    assert want.convex_ccw.any()
+    # sweep passes of chunk // 32 grid points (7, 1000, 1) end inside a
+    # prefix's block of ``grid`` points; embeddedness passes differ too
+    for chunk in (32 * 7, 32 * 1000, 5 * 7):
+        got = pl.enumerate_configurations(lengths, grid, chunk=chunk)
+        for key in _COLUMNS:
+            have, col = getattr(got, key), getattr(want, key)
+            assert have.dtype == col.dtype and have.shape == col.shape, key
+            assert have.tobytes() == col.tobytes(), (chunk, key)
+
+
+def test_sweep_memory_tracks_result():
+    # the result's columns, 16 bytes per grid point and one pass's
+    # temporaries: about 1.36 times the result on this vector; a sweep
+    # that keeps per-pass pieces and concatenates them holds about 2.5
+    lengths = random_generic_lengths(6, np.random.default_rng(26), margin=0.05)
+    grid = 48
+    tracemalloc.start()
+    try:
+        sweep = pl.enumerate_configurations(lengths, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(getattr(sweep, key).nbytes for key in _COLUMNS)
+    assert peak <= 1.5 * result
 
 
 class _CountingMask:

@@ -38,7 +38,7 @@ class TestProjectToClosure:
 
     def test_large_defect_rejected(self):
         free = np.array([math.pi / 2 + 1.5, math.pi / 2, math.pi / 2])
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(pl.ClosureError, match="too large"):
             pl.project_to_closure(free, pl.SideLengths([1, 1, 1, 1]))
 
 
@@ -87,7 +87,7 @@ class TestConvexify:
 
     def test_non_embedded_rejected(self):
         bow = pl.PolygonChain(np.array([[0.0, 0], [2, 2], [2, 0], [0, 2]]))
-        with pytest.raises(ValueError, match="embedded"):
+        with pytest.raises(pl.NotEmbeddedError, match="embedded"):
             pl.convexify(bow)
 
     def test_max_iterations_status(self, pentagon_fixture):
@@ -143,6 +143,13 @@ class TestFlowParams:
 
 
 class TestReverseFlowStep:
+    def test_non_embedded_rejected(self):
+        bow = pl.PolygonChain(np.array([[0.0, 0], [2, 2], [2, 0], [0, 2]]))
+        with pytest.raises(pl.NotEmbeddedError, match="embedded"):
+            pl.reverse_flow_step(bow)
+        # callers of the public API may still catch ValueError
+        assert issubclass(pl.NotEmbeddedError, ValueError)
+
     def test_convex_interior_rejected(self):
         with pytest.raises(ValueError, match="zero gradient"):
             pl.reverse_flow_step(_unit_square())

@@ -3,9 +3,11 @@
 The expected outputs in ``fixtures/golden/`` were written by an earlier
 implementation of the atlas and the genericity test (per-candidate
 chains, full sign-vector enumeration) and, for ``convexify``, of the flow
-with separate descent and ascent line searches; the rewrites must
-reproduce them exactly.  ``python tests/test_golden.py`` rewrites them from the current
-code, which is only right when an output change is intended.
+with separate descent and ascent line searches, and for
+``demo-figure-eight`` of the grid sweep that rebuilt every row's full
+chain; the rewrites must reproduce them exactly.
+``python tests/test_golden.py`` rewrites them from the current code,
+which is only right when an output change is intended.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from polylink.cli import main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
-# output file -> (input file, CLI arguments after the input file); input
-# paths are relative to ``fixtures/golden/``
+# output file -> (input file or None, CLI arguments after the input file);
+# input paths are relative to ``fixtures/golden/``
 CASES = {
     "atlas_n7_k3_g8.csv": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "csv"]),
     "atlas_n7_k3_g8.json": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "json"]),
@@ -31,12 +33,15 @@ CASES = {
     "analyze_112233.json": ("l112233.json", ["analyze"]),
     "convexify_pentagon.json": ("../pentagon_nonconvex.json", ["convexify"]),
     "convexify_hexagon.json": ("../hexagon_nonconvex.json", ["convexify"]),
+    # the only CLI caller of the enumeration oracle, and its only n = 4 sweep
+    "demo_figure_eight_10000.json": (None, ["demo-figure-eight", "--samples", "10000"]),
 }
 
 
 def run_case(name: str):
-    lengths_file, args = CASES[name]
-    argv = [args[0], str(GOLDEN / lengths_file), *args[1:]]
+    input_file, args = CASES[name]
+    inputs = [] if input_file is None else [str(GOLDEN / input_file)]
+    argv = [args[0], *inputs, *args[1:]]
     return CliRunner().invoke(main, argv, catch_exceptions=False)
 
 
