@@ -427,8 +427,8 @@ def embedded_mask(verts: np.ndarray) -> np.ndarray:
     del e, cross, dot  # free the edge arrays before the larger pair arrays
     i, j = _edge_pairs(verts.shape[1])
     prev = _cyclic_prev(verts)
-    a, b = prev[:, i], verts[:, i]
-    c, d = prev[:, j], verts[:, j]
+    a, b = np.take(prev, i, axis=1), np.take(verts, i, axis=1)
+    c, d = np.take(prev, j, axis=1), np.take(verts, j, axis=1)
 
     def orient(p, q, r):
         v = (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (

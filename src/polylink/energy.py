@@ -85,7 +85,8 @@ def _pair_mask(n: int) -> np.ndarray:
 
 def _elliptic_pairs(verts: np.ndarray, anchor: np.ndarray):
     """Vectors from both endpoints of every edge to every vertex, their
-    lengths, and the pair denominators, all indexed (edge i, vertex j).
+    lengths, and the pair denominators, all indexed (edge i, vertex j),
+    followed by the smallest denominator.
 
     Edge i runs from ``verts[i-1]`` to ``verts[i]``; ``anchor`` is the start
     point of edge 0 (the stored last vertex for a closed chain, the exact
@@ -99,19 +100,22 @@ def _elliptic_pairs(verts: np.ndarray, anchor: np.ndarray):
     db = np.hypot(to_b[..., 0], to_b[..., 1])
     lab = np.diagonal(da)  # da[i, i] = |verts[i] - starts[i]|
     den = np.where(_pair_mask(verts.shape[0]), da + db - lab[:, None], np.inf)
-    if (den <= 0.0).any():
+    min_den = float(np.fmin.reduce(den, axis=None))  # skips NaN, as den <= 0 does
+    if min_den <= 0.0:
         raise ValueError("vertex lies on a non-incident edge: energy undefined")
-    return to_a, to_b, da, db, den
+    return to_a, to_b, da, db, den, min_den
 
 
 def _elliptic_value(verts: np.ndarray, anchor: np.ndarray) -> float:
-    den = _elliptic_pairs(verts, anchor)[-1]
+    den = _elliptic_pairs(verts, anchor)[4]
     return float(np.sum(1.0 / (den * den)))
 
 
 def _elliptic_value_and_vertex_grad(verts: np.ndarray, anchor: np.ndarray):
-    """Energy F and dF/d(vertex) for every vertex; anchor is constant."""
-    to_a, to_b, da, db, den = _elliptic_pairs(verts, anchor)
+    """Energy F, dF/d(vertex) for every vertex (anchor constant) and the
+    smallest pair denominator, which bounds the clearance:
+    dist(v, ab) >= (|v - a| + |v - b| - |a - b|) / 2."""
+    to_a, to_b, da, db, den, min_den = _elliptic_pairs(verts, anchor)
     mask = _pair_mask(verts.shape[0])
     inv = 1.0 / (den * den)
     w = -2.0 * inv / den  # d(term)/d(den); zero off the mask
@@ -122,7 +126,7 @@ def _elliptic_value_and_vertex_grad(verts: np.ndarray, anchor: np.ndarray):
     # each term moves with its vertex j and with both endpoints of edge i
     grad = (pa + pb).sum(axis=0) - pb.sum(axis=1) - we
     grad[:-1] += we[1:] - pa[1:].sum(axis=1)
-    return float(np.sum(inv)), grad
+    return float(np.sum(inv)), grad, min_den
 
 
 def elliptic_energy(chain: PolygonChain) -> float:
@@ -295,7 +299,9 @@ class LogEnergy:
     is the gradient of log F, which acts as the contact barrier).
     ``chain`` is the configuration the energy was evaluated on, with all
     ``n`` of its turn angles in ``full_angles`` and its closure Jacobian
-    in ``jacobian``."""
+    in ``jacobian``.  ``min_den`` is the smallest pair denominator of F,
+    computed with edge 0 anchored at the exact origin; half of it bounds
+    the distance of every vertex from every non-incident edge."""
 
     log_value: float
     gradient: np.ndarray  # of log E, full
@@ -306,6 +312,7 @@ class LogEnergy:
     chain: PolygonChain
     full_angles: np.ndarray
     jacobian: np.ndarray
+    min_den: float
 
 
 def log_energy_gradient(
@@ -332,15 +339,17 @@ def log_energy_gradient(
     full = np.append(free, theta_n)
 
     x = -full  # bump arguments
-    logs = np.array([log_bump(v) for v in x])
+    # log_bump elementwise: -1/x^2, and -inf where x <= 0 (NaN stays NaN)
+    logs = np.divide(-1.0, x * x, out=np.full(n, -math.inf), where=~(x <= 0.0))
     log_amp = _logsumexp(logs)
-    F, vgrad = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
+    F, vgrad, min_den = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
     jac = closure_jacobian(verts)
 
     if log_amp == -math.inf:
         zero = np.zeros(n - 1)
         return LogEnergy(
-            -math.inf, zero, zero, zero, F, float(full.min()), chain, full, jac
+            -math.inf, zero, zero, zero, F, float(full.min()), chain, full, jac,
+            min_den,
         )
 
     # softmax weights of the active bumps
@@ -359,4 +368,5 @@ def log_energy_gradient(
         chain=chain,
         full_angles=full,
         jacobian=jac,
+        min_den=min_den,
     )

@@ -6,11 +6,21 @@ are re-solved by Gauss-Newton.  A step is accepted only when the energy
 strictly decreased and the candidate polygon is embedded, so every stored
 iterate is a valid configuration.  One backtracking line search serves
 both this descent and the reverse (ascent) step, which passes the
-opposite energy test.  Descent is steered by the log-domain
-energy: in plain doubles the bump factor underflows to zero once every
-reflex angle is above about -0.037, which would strand the iteration
-short of convexity; the log form keeps a usable gradient until the
-reflex angles actually reach zero.
+opposite energy test.
+
+Embeddedness of a trial is mostly proved rather than tested: the energy's
+pair denominators bound the clearance of the current iterate, and a
+trial whose vertices all moved well within that clearance, and which
+itself stays clear of the tolerance band of ``embedded_mask``, is
+embedded (:class:`ClearanceCertificate`, proof in its docstring).  A
+trial the certificate does not cover goes to ``classify``; the
+certificate only ever accepts what ``classify`` would, so accept
+decisions, traces and outputs are those of testing every trial.
+
+Descent is steered by the log-domain energy: in plain doubles the bump
+factor underflows to zero once every reflex angle is above about -0.037,
+which would strand the iteration short of convexity; the log form keeps
+a usable gradient until the reflex angles actually reach zero.
 
 CW inputs are reflected to CCW first (the two embedded components are
 mirror images); the trace records that this happened.
@@ -24,10 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain_geometry import (
+    ORIENT_EPS,
     TAU,
     PolygonChain,
     SideLengths,
     canonicalize,
+    embedded_mask,
     reflect_x,
     vertices_from_turn_angles,
 )
@@ -71,7 +83,8 @@ class FlowParams:
             raise ValueError("iteration counts must be >= 1")
 
 
-@dataclass(frozen=True)
+# slotted: a trace holds one record per accepted step, and callers keep traces
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
     iteration: int
     energy: float
@@ -80,7 +93,7 @@ class FlowRecord:
     step_size: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FlowSnapshot:
     step: int
     vertices: np.ndarray
@@ -200,12 +213,136 @@ def _evaluate(free, lengths, params):
     return free, log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
 
 
-def _line_search(free, direction, s_start, s_floor, accept, lengths, params):
+# unit roundoff of IEEE doubles
+_UNIT_ROUNDOFF = 2.0**-53
+# how many times a certified clearance must exceed the tolerance band
+_BAND_SAFETY = 4.0
+
+
+class ClearanceCertificate:
+    """Proof, from the energy kernel's own numbers, that a line-search
+    trial is embedded; it declines whenever the proof does not go through.
+
+    One certificate serves one flow run on side lengths ``L`` (perimeter
+    ``P``).  :meth:`rebase` sets the iterate X the trials start from,
+    :meth:`certifies` tests a trial T.  Both X and T are
+    ``LogEnergy`` values of chains the flow built from ``L`` with
+    :func:`~polylink.chain_geometry.vertices_from_turn_angles` and
+    projected onto closure, in the same canonical frame.
+
+    Claim: if ``embedded_mask`` holds for X and ``certifies(T)`` returns
+    True, then ``embedded_mask`` holds for T.  Every accepted iterate
+    passed ``embedded_mask`` or this certificate, so by induction only the
+    projected start chain needs one ``embedded_mask`` call; when it fails,
+    nothing is certified from it.
+
+    Proof.  Write ``d`` for the distance of a chain's stored last vertex
+    from the origin (its closure defect) and ``u = 2**-53``.
+
+    1. Clearance.  For a vertex v and an edge ab,
+       dist(v, ab) >= (|v-a| + |v-b| - |a-b|) / 2 = den / 2.  The kernel
+       anchors edge 0 at the exact origin, not at the stored last vertex,
+       which moves each of its denominators by at most ``2 d``; rounding
+       moves a denominator by less than ``den_err = 128 u P``.  So every
+       vertex lies at least ``c = (min_den - den_err) / 2 - d`` from every
+       non-incident edge (:meth:`clearance`).  Two disjoint segments are
+       closest at an endpoint of one of them, so non-adjacent edges that
+       do not meet are at least ``c`` apart.
+    2. Tolerance band.  A chain built from ``L`` has edges within
+       ``slack = d + 8 u P`` of ``L``, so its shortest edge is at least
+       ``lo = min(L) - slack`` and the scale ``s`` of ``embedded_mask``
+       (largest coordinate difference over the edges) at most
+       ``hi = max(L) + slack`` and at least ``(max(L) - slack) / sqrt 2``.
+       There ``eps <= ORIENT_EPS hi**2``, ``pad <= ORIENT_EPS hi``, an
+       orientation or edge cross product is off by at most
+       ``err = 24 u hi (P + hi)`` and a padded box edge by ``2 u P``.  Let
+       ``band = (1 + sqrt 2) (eps + err) / lo + sqrt 2 (pad + 2 u P)``.
+       A chain is clear when ``c > 4 band`` and ``err`` is below the
+       smallest possible ``eps``; the factor 4 also absorbs the rounding
+       of evaluating these bounds.
+    3. A clear chain on which ``embedded_mask`` holds has disjoint
+       non-adjacent edges.  If edges ab and cd crossed at x, each endpoint
+       would be at least ``c`` from the other segment (1).  Let p be the
+       endpoint nearest to x, at distance r: its foot on the other line is
+       within r of x, hence on the other segment, so r sin(angle) >= c,
+       and every endpoint lies at least c from the other line.  All four
+       orientations then exceed ``lo c > eps + err``, so ``embedded_mask``
+       reads their signs correctly and reports the crossing.
+    4. Small move.  :meth:`certifies` requires X clear and
+       ``3 max|T - X| < c(X)`` over the coordinates, so every vertex moves
+       less than ``c(X) / 2`` (3 > 2 sqrt 2 with room for rounding).  Each
+       point of an edge moves less than that too, so non-adjacent edges of
+       T stay more than ``c(X) - 2 c(X) / 2 = 0`` apart: they are disjoint.
+    5. Band.  :meth:`certifies` requires T clear as well.  A reported
+       crossing needs four nonzero orientation signs; as ``err < eps``
+       they are the true signs, so the disjoint edges of T (4) would
+       cross.  A reported touch needs an orientation within ``eps`` and an
+       endpoint in the padded box, which puts that endpoint within
+       ``(1 + sqrt 2) (eps + err) / lo + sqrt 2 (pad + 2 u P) = band < c``
+       of the other edge, against (1).  A reported fold at a vertex
+       (cross within ``eps``, dot below 0) puts the far end of the shorter
+       edge within ``(eps + err) / lo < c`` of the longer edge, or, if the
+       true dot is not negative, makes the product of the two edge lengths
+       at most about ``eps``, while it is at least ``lo c > 2 eps``
+       (``c`` is at most the shortest edge).  So ``embedded_mask`` holds
+       for T.
+    """
+
+    def __init__(self, lengths: SideLengths):
+        ell = lengths.lengths
+        self._min_len = float(ell.min())
+        self._max_len = float(ell.max())
+        self._perimeter = lengths.perimeter
+        self._base = None  # (vertices, clearance) of the iterate X
+
+    def clearance(self, le) -> float:
+        """Certified clearance of ``le.chain``: the lower bound ``c`` on
+        the distance of each vertex from each non-incident edge, or 0.0
+        when ``c`` does not clear the tolerance band of ``embedded_mask``
+        (steps 1 and 2 of the proof)."""
+        u, perimeter = _UNIT_ROUNDOFF, self._perimeter
+        last = le.chain.vertices[-1]
+        defect = math.hypot(last[0], last[1])
+        clear = 0.5 * (le.min_den - 128.0 * u * perimeter) - defect
+        slack = defect + 8.0 * u * perimeter
+        lo = self._min_len - slack
+        hi = self._max_len + slack
+        err = 24.0 * u * hi * (perimeter + hi)
+        smallest_eps = ORIENT_EPS * 0.5 * (self._max_len - slack) ** 2
+        if not (lo > 0.0 and 2.0 * err < smallest_eps):
+            return 0.0
+        eps, pad, root2 = ORIENT_EPS * hi * hi, ORIENT_EPS * hi, math.sqrt(2.0)
+        band = (1.0 + root2) * (eps + err) / lo + root2 * (pad + 2.0 * u * perimeter)
+        return clear if clear > _BAND_SAFETY * band else 0.0
+
+    def rebase(self, le, known_embedded: bool = False) -> None:
+        """Start certifying trials from the iterate ``le``.  Unless the
+        caller knows ``embedded_mask`` holds for it, one call checks that;
+        an iterate that fails it, or is not clear, certifies nothing."""
+        clear = self.clearance(le)
+        verts = le.chain.vertices
+        if clear > 0.0 and (known_embedded or embedded_mask(verts[None])[0]):
+            self._base = (verts, clear)
+        else:
+            self._base = None
+
+    def certifies(self, trial) -> bool:
+        """True only when the proof shows ``trial.chain`` is embedded."""
+        if self._base is None:
+            return False
+        verts, clear = self._base
+        move = float(np.abs(trial.chain.vertices - verts).max())
+        return 3.0 * move < clear and self.clearance(trial) > 0.0
+
+
+def _line_search(free, direction, s_start, s_floor, accept, lengths, params, cert):
     """Backtrack along one direction; returns (free, le, step) or None
     when no acceptable step at or above ``s_floor`` exists.
 
     A trial is accepted when ``accept`` passes its log energy and it is
-    embedded, tested in that order."""
+    embedded, tested in that order: ``cert`` (a
+    :class:`ClearanceCertificate` based at the current iterate) proves
+    most trials embedded, the others go to ``classify``."""
     s = s_start
     while s >= s_floor:
         try:
@@ -213,7 +350,9 @@ def _line_search(free, direction, s_start, s_floor, accept, lengths, params):
         except (ValueError, np.linalg.LinAlgError):
             s *= params.backtrack
             continue
-        if accept(cand_le.log_value) and classify(cand_le.chain).embedded:
+        if accept(cand_le.log_value) and (
+            cert.certifies(cand_le) or classify(cand_le.chain).embedded
+        ):
             return cand, cand_le, s
         s *= params.backtrack
     return None
@@ -248,6 +387,8 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
     lengths = chain.side_lengths()
 
     free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
+    cert = ClearanceCertificate(lengths)
+    cert.rebase(le)
 
     trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
     trace.records.append(_record(0, le, 0.0))
@@ -274,7 +415,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         step = min(step / params.backtrack, params.initial_step)
         stage1_floor = max(step * params.backtrack**8, params.min_step)
         hit = _line_search(
-            free, direction, step, stage1_floor, lower, lengths, params
+            free, direction, step, stage1_floor, lower, lengths, params, cert
         )
         if hit is None or hit[2] < 0.05 * params.initial_step:
             # gradient progress has collapsed (tied reflex angles in
@@ -287,7 +428,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
                 floor = params.min_step if hit is None else 2.0 * hit[2]
                 alt = _line_search(
                     free, alt_dir, params.initial_step, floor,
-                    lower, lengths, params,
+                    lower, lengths, params, cert,
                 )
                 if alt is not None and (hit is None or alt[2] > hit[2]):
                     hit = alt
@@ -301,12 +442,14 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
                 lower,
                 lengths,
                 params,
+                cert,
             )
         if hit is None:
             trace.status = STALLED
             break
 
         free, le, step = hit
+        cert.rebase(le, known_embedded=True)
         accepted += 1
         trace.records.append(_record(accepted, le, step))
         if accepted % params.snapshot_stride == 0:
@@ -363,9 +506,11 @@ def reverse_flow_step(
     def higher(log_value):  # strict ascent, at most up to the cap
         return le.log_value < log_value <= log_cap
 
+    cert = ClearanceCertificate(lengths)
+    cert.rebase(le)
     hit = _line_search(
         free, direction / norm, params.initial_step, params.min_step,
-        higher, lengths, params,
+        higher, lengths, params, cert,
     )
     if hit is None:
         raise ValueError("no acceptable ascent step above the step floor")

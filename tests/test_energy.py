@@ -7,8 +7,10 @@ import polylink as pl
 from polylink.energy import (
     _elliptic_value,
     _elliptic_value_and_vertex_grad,
+    _logsumexp,
     _swing_gradient,
     closure_jacobian,
+    log_bump,
 )
 
 from conftest import random_embedded_ccw, star_polygon
@@ -62,12 +64,14 @@ class TestEllipticEnergy:
 
 
 def _loop_elliptic(verts, anchor):
-    """Reference: F and dF/d(vertex) pair by pair, edge i from verts[i-1]
-    (``anchor`` for i = 0) to verts[i], vertices i-1 and i skipped."""
+    """Reference: F, dF/d(vertex) and the smallest denominator pair by
+    pair, edge i from verts[i-1] (``anchor`` for i = 0) to verts[i],
+    vertices i-1 and i skipped."""
     n = verts.shape[0]
     starts = np.vstack((anchor, verts[:-1]))
     grad = np.zeros_like(verts)
     total = 0.0
+    min_den = math.inf
     for i in range(n):
         a, b = starts[i], verts[i]
         lab = math.hypot(*(b - a))
@@ -78,13 +82,14 @@ def _loop_elliptic(verts, anchor):
             va, vb = verts[j] - a, verts[j] - b
             da, db = math.hypot(*va), math.hypot(*vb)
             den = da + db - lab
+            min_den = min(min_den, den)
             total += 1.0 / (den * den)
             w = -2.0 / (den * den * den)
             grad[j] += w * (va / da + vb / db)
             if i >= 1:
                 grad[i - 1] += w * (-va / da + e_hat)
             grad[i] += w * (-vb / db - e_hat)
-    return total, grad
+    return total, grad, min_den
 
 
 def _nonconvex_star(n, seed):
@@ -108,9 +113,10 @@ class TestEllipticKernel:
         # extension of the gradient work (anchor = origin, last vertex off it)
         off = pl.ReducedCoords(free + 1e-3).chain(lengths)[0].vertices
         for verts, anchor in ((chain.vertices, chain.vertices[-1]), (off, np.zeros(2))):
-            F_ref, g_ref = _loop_elliptic(verts, anchor)
-            F, g = _elliptic_value_and_vertex_grad(verts, anchor)
+            F_ref, g_ref, min_den_ref = _loop_elliptic(verts, anchor)
+            F, g, min_den = _elliptic_value_and_vertex_grad(verts, anchor)
             assert F == pytest.approx(F_ref, rel=1e-12, abs=0)
+            assert min_den == pytest.approx(min_den_ref, rel=1e-12, abs=0)
             assert _elliptic_value(verts, anchor) == F
             assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
 
@@ -344,6 +350,19 @@ class TestLogEnergy:
         g = pl.energy_gradient(coords, lengths)
         assert math.exp(le.log_value) == pytest.approx(g.value, rel=1e-10)
         assert np.allclose(le.gradient, g.gradient / g.value, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_log_bumps_match_scalar_log_bump(self, n):
+        # the kernel builds the log bumps as one array expression; it must
+        # give the bits of the scalar log_bump, including -inf at x <= 0
+        rng = np.random.default_rng(40 + n)
+        chain = random_embedded_ccw(n, rng, require_nonconvex=True)
+        le = pl.log_energy_gradient(
+            pl.ReducedCoords.from_chain(chain), chain.side_lengths()
+        )
+        logs = np.array([log_bump(-t) for t in le.full_angles])
+        assert (logs == -math.inf).any() and np.isfinite(logs).any()
+        assert le.log_value == _logsumexp(logs) + math.log(le.elliptic)
 
     def test_convex_is_minus_infinity(self):
         coords = pl.ReducedCoords.from_chain(_unit_square())
