@@ -132,6 +132,33 @@ class TestConvexify:
                 )
 
 
+# accepted steps of the first 40 polygons of the c03 acceptance recipe
+# (random_embedded_ccw, default_rng(103), n = 4 + i % 5); all converge
+C03_RECIPE_STEPS = [
+    153, 15, 91, 66, 188, 51, 282, 59, 280, 368,
+    34, 206, 147, 119, 300, 240, 161, 132, 225, 262,
+    23, 37, 229, 323, 464, 88, 78, 261, 28, 280,
+    27, 68, 25, 19, 167, 102, 178, 100, 245, 130,
+]
+
+
+def test_c03_recipe_decisions_pinned():
+    # a rounding change in the flow moves late-run step counts; this pins
+    # every accept decision of 40 seeded runs (6,251 steps)
+    rng = np.random.default_rng(103)
+    got = []
+    for count in range(len(C03_RECIPE_STEPS)):
+        n = 4 + count % 5
+        trace = pl.convexify(random_embedded_ccw(n, rng, require_nonconvex=True))
+        got.append((trace.lengths.n, trace.status, trace.accepted_steps))
+    expected = [
+        (4 + count % 5, pl.CONVERGED, steps)
+        for count, steps in enumerate(C03_RECIPE_STEPS)
+    ]
+    assert got == expected
+    assert sum(C03_RECIPE_STEPS) == 6251
+
+
 class TestFlowParams:
     def test_validation(self):
         with pytest.raises(ValueError):
