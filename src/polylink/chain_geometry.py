@@ -47,12 +47,6 @@ def normalize_angle(theta: float) -> float:
     return r
 
 
-def normalize_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`normalize_angle`."""
-    r = np.remainder(np.asarray(theta, dtype=float) + math.pi, TAU) - math.pi
-    return np.where(r <= -math.pi, r + TAU, r)
-
-
 @dataclass(frozen=True, eq=False)
 class SideLengths:
     """Ordered positive edge lengths of a closed linkage."""
@@ -232,18 +226,16 @@ def edge_turn_angles(e, nxt) -> np.ndarray:
     return _turn_angles(*_cross_dot(*e, *nxt))
 
 
-def turn_angle_array(verts: np.ndarray, return_degenerate: bool = False):
+def turn_angle_array(verts: np.ndarray):
     """Signed turn angles of closed chains, ``(..., n, 2) -> (..., n)``.
 
     The formula of :func:`turn_angles_from_vertices`, for a stack of
-    chains.  With ``return_degenerate`` also returns, per chain, whether
-    it has an edge of length at most ``1e-14`` times its longest edge
-    (the chains :func:`turn_angles_from_vertices` rejects).
+    chains.  Returns ``(theta, degenerate)``: ``degenerate`` says, per
+    chain, whether it has an edge of length at most ``1e-14`` times its
+    longest edge (the chains :func:`turn_angles_from_vertices` rejects).
     """
     e, cross, dot = _edge_products(verts)
     theta = _turn_angles(cross, dot)
-    if not return_degenerate:
-        return theta
     lens = np.hypot(e[..., 0], e[..., 1])
     scale = np.maximum(lens.max(axis=-1), 1e-300)
     return theta, (lens <= 1e-14 * scale[..., None]).any(axis=-1)
@@ -254,7 +246,7 @@ def turn_angles_from_vertices(chain: PolygonChain) -> TurnAngles:
 
     Raises on zero-length edges, whose direction is undefined.
     """
-    theta, degenerate = turn_angle_array(chain.vertices, return_degenerate=True)
+    theta, degenerate = turn_angle_array(chain.vertices)
     if degenerate:
         raise ValueError("zero-length edge: turn angle undefined")
     return TurnAngles(theta)

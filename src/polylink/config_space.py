@@ -285,7 +285,9 @@ class ConfigSampleSet:
     ``n-3 .. n-1``, winding and convexity per row.  The sweep's memory
     is this result plus 16 bytes per grid point.  ``embedded`` is
     computed from the stored angles when first read, in passes of
-    ``pass_rows`` chains, and then kept.
+    ``pass_rows`` chains, and then kept.  Each pass holds about 170 bytes
+    per (chain, non-adjacent edge pair) in temporaries: about 22 MB at
+    the default ``chunk`` of :func:`enumerate_configurations`.
     """
 
     lengths: SideLengths
@@ -482,7 +484,8 @@ def enumerate_configurations(
     slack = -CONVEX_ANGLE_SLACK
     # pass sizes: an embeddedness pass tests ``step`` chains, so its
     # temporaries hold one entry per (chain, non-adjacent edge pair), at
-    # most ``chunk`` of them; a sweep pass closes ``sweep`` grid points,
+    # most ``chunk`` of them, at about 170 bytes each (22 MB per pass at
+    # the default chunk, n = 5); a sweep pass closes ``sweep`` grid points,
     # and its temporaries hold at most about 32 numbers per grid point
     step = max(chunk // max(n * (n - 3) // 2, 1), 1)
     sweep = max(chunk // 32, 1)

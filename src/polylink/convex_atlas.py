@@ -49,6 +49,7 @@ from .config_space import is_generic
 ANGLE_SLACK = 1e-9  # tolerance below 0 / above pi for convexity checks
 FLAT_TOL = 1e-7  # |turn| below this counts as a flat vertex in witnesses
 TIE_TOL = 1e-9
+PREFIX_TOL = 1e-9  # slack of contains_prefix at each interval end
 BLOCK = 2048  # prefixes per kernel call; bounds the (P, C, n, 2) candidate arrays
 
 MINIMAL_CASE_A = "minimal_case_a"
@@ -260,7 +261,7 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     verts[:, :, K] = points
     verts[:, :, K + 1 : n - 1] = points[:, :, None] + run[:, None] * u[:, :, None]
     verts[:, :, n - 1] = 0.0
-    theta, degenerate = turn_angle_array(verts, return_degenerate=True)
+    theta, degenerate = turn_angle_array(verts)
     theta_k = theta[..., K - 1]
     convex = _convex(theta)
     convex[..., K - 1] = ~(theta_k >= math.pi - ANGLE_SLACK)  # may be negative
@@ -340,7 +341,7 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
             block[:, :, J] = centers[c]
             block[:, :, J + 1 : n - 1, 0] = -t_len[c] + np.cumsum(ell[J + 1 : n - 1])
             block[:, :, J + 1 : n - 1, 1] = 0.0
-    theta, degenerate = turn_angle_array(verts, return_degenerate=True)
+    theta, degenerate = turn_angle_array(verts)
     ok = built & _convex(theta).all(axis=-1)
     best, arg, tie = _pick(theta[..., K - 1], ok, maximize=True, runs=runs)
 
@@ -419,7 +420,7 @@ def max_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness
     return _one(_max_block, lengths, alpha)
 
 
-def contains_prefix(lengths: SideLengths, alpha, tol: float = 1e-9) -> bool:
+def contains_prefix(lengths: SideLengths, alpha) -> bool:
     """Whether every entry of the prefix sits inside its level interval."""
     alpha = _as_prefix(alpha)
     _require_generic(lengths)
@@ -428,7 +429,7 @@ def contains_prefix(lengths: SideLengths, alpha, tol: float = 1e-9) -> bool:
             nu, _, mu, _ = _intervals(lengths, alpha[None, :m], False)
         except PrefixError:
             return False
-        if not (nu[0] - tol <= alpha[m] <= mu[0] + tol):
+        if not (nu[0] - PREFIX_TOL <= alpha[m] <= mu[0] + PREFIX_TOL):
             return False
     return True
 

@@ -41,36 +41,37 @@ from .chain_geometry import (
     vertices_from_turn_angles,
 )
 
-# exp(-1/x^2) < 1e-4343 below this; sub-denormal, treated as exactly zero
-BUMP_CUTOFF = 0.01
+
+def log_bump(x):
+    """log of the bump, elementwise: -1/x^2 for x > 0, -inf otherwise.
+
+    Takes a float or an array and returns the same.  For 0 < x below
+    about 7.5e-155, where -1/x^2 is beyond the doubles, the result is -inf
+    without a warning; NaN stays NaN.  This is the representation the
+    descent flow steers by.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -math.inf)
+    with np.errstate(all="ignore"):
+        np.divide(-1.0, x * x, out=out, where=~(x <= 0.0))
+    return out if out.ndim else float(out)
 
 
 def bump(x: float) -> float:
     """Smooth bump: 0 for x <= 0, exp(-1/x^2) for x > 0.
 
-    Values below ``BUMP_CUTOFF`` are flushed to exactly zero; they are far
-    beneath the smallest subnormal double anyway.
+    In doubles it is exactly 0.0 below about ``x = 0.0366``.
     """
-    if x <= BUMP_CUTOFF:
-        return 0.0
-    return math.exp(-1.0 / (x * x))
+    return math.exp(log_bump(x))
 
 
 def bump_derivative(x: float) -> float:
-    """da/dx of :func:`bump`, analytically (2/x^3) exp(-1/x^2)."""
-    if x <= BUMP_CUTOFF:
+    """da/dx of :func:`bump`, analytically (2/x^3) exp(-1/x^2); 0.0 wherever
+    the bump is."""
+    b = bump(x)
+    if b == 0.0:
         return 0.0
-    return 2.0 / (x * x * x) * math.exp(-1.0 / (x * x))
-
-
-def log_bump(x: float) -> float:
-    """log of the exact-math bump: -1/x^2 for x > 0, -inf otherwise.
-
-    No cutoff: this is the representation the descent flow steers by.
-    """
-    if x <= 0.0:
-        return -math.inf
-    return -1.0 / (x * x)
+    return 2.0 / (x * x * x) * b
 
 
 @lru_cache(maxsize=64)
@@ -222,12 +223,16 @@ def _swing_gradient(verts: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
     return C[1:] - (verts[:-1, 0] * G[1:, 1] - verts[:-1, 1] * G[1:, 0])
 
 
+def min_norm_correction(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The shortest d with ``jac @ d = r``: ``jac.T (jac jac.T)^-1 r``, by
+    the 2x2 normal equations of the closure Jacobian."""
+    return jac.T @ np.linalg.solve(jac @ jac.T, r)
+
+
 def project_tangent(grad: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Remove the closure-normal component (least squares in the 2x2
-    normal equations)."""
-    jjt = jac @ jac.T
-    lam = np.linalg.solve(jjt, jac @ grad)
-    return grad - jac.T @ lam
+    """Remove the closure-normal component of ``grad``."""
+    return grad - min_norm_correction(jac, jac @ grad)
+
 
 def energy_of_free_angles(free: np.ndarray, lengths: SideLengths) -> float:
     """Smooth extension of the modified energy to off-manifold free angles.
@@ -339,8 +344,7 @@ def log_energy_gradient(
     full = np.append(free, theta_n)
 
     x = -full  # bump arguments
-    # log_bump elementwise: -1/x^2, and -inf where x <= 0 (NaN stays NaN)
-    logs = np.divide(-1.0, x * x, out=np.full(n, -math.inf), where=~(x <= 0.0))
+    logs = log_bump(x)
     log_amp = _logsumexp(logs)
     F, vgrad, min_den = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
     jac = closure_jacobian(verts)

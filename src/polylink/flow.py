@@ -48,12 +48,20 @@ from .energy import (
     ReducedCoords,
     closure_jacobian,
     log_energy_gradient,
+    min_norm_correction,
     project_tangent,
 )
 
 CONVERGED = "converged_convex"
 MAX_ITERATIONS = "max_iterations"
 STALLED = "stalled"
+
+# line-search step factor after a rejected trial
+BACKTRACK = 0.5
+# smallest trial step before a line search gives up
+MIN_STEP = 1e-14
+# Gauss-Newton iterations before the closure projection gives up
+CLOSURE_MAX_ITER = 50
 
 
 class NotEmbeddedError(ValueError):
@@ -65,18 +73,13 @@ class FlowParams:
     """Tuning knobs for the descent; defaults are desk-scale settings."""
 
     initial_step: float = 1e-2
-    backtrack: float = 0.5
     convexity_tol: float = 1e-6
     max_iterations: int = 100_000
     snapshot_stride: int = 10
     closure_tol: float = 1e-12
-    closure_max_iter: int = 50
-    min_step: float = 1e-14
 
     def __post_init__(self):
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        for name in ("initial_step", "convexity_tol", "closure_tol", "min_step"):
+        for name in ("initial_step", "convexity_tol", "closure_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iterations < 1 or self.snapshot_stride < 1:
@@ -119,37 +122,28 @@ class FlowTrace:
 
 
 def project_to_closure(
-    free_angles: np.ndarray,
-    lengths: SideLengths,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    *,
-    return_chain: bool = False,
-):
+    free_angles: np.ndarray, lengths: SideLengths, tol: float = 1e-12
+) -> tuple[np.ndarray, PolygonChain]:
     """Gauss-Newton solve of the two closure equations in free angles.
 
     Each step is the minimum-norm correction of the closure defect, so the
     projection moves the input as little as possible.  Requires the
     initial defect to be below a tenth of the perimeter.  Returns the
-    projected free angles, or with ``return_chain`` the pair ``(free,
-    chain)`` where ``chain`` is the closed configuration the last Newton
+    projected free angles and the closed configuration the last Newton
     check built from them.
     """
     free = np.asarray(free_angles, dtype=float).copy()
     chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
     if defect > 0.1 * lengths.perimeter:
         raise ClosureError("closure defect too large for Newton projection")
-    for _ in range(max_iter):
+    for _ in range(CLOSURE_MAX_ITER):
         if defect <= tol:
-            return (free, chain) if return_chain else free
+            return free, chain
         verts = chain.vertices
-        jac = closure_jacobian(verts)
-        jjt = jac @ jac.T
-        lam = np.linalg.solve(jjt, verts[-1])
-        free -= jac.T @ lam
+        free -= min_norm_correction(closure_jacobian(verts), verts[-1])
         chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
     raise ClosureError(
-        f"closure Newton did not converge in {max_iter} iterations "
+        f"closure Newton did not converge in {CLOSURE_MAX_ITER} iterations "
         f"(defect {defect:.3e})"
     )
 
@@ -203,13 +197,7 @@ def _wall_sliding_direction(le) -> np.ndarray | None:
 def _evaluate(free, lengths, params):
     """Project free angles onto closure and evaluate the log energy there;
     returns ``(projected free angles, LogEnergy)``."""
-    free, chain = project_to_closure(
-        free,
-        lengths,
-        tol=params.closure_tol,
-        max_iter=params.closure_max_iter,
-        return_chain=True,
-    )
+    free, chain = project_to_closure(free, lengths, tol=params.closure_tol)
     return free, log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
 
 
@@ -348,13 +336,13 @@ def _line_search(free, direction, s_start, s_floor, accept, lengths, params, cer
         try:
             cand, cand_le = _evaluate(free + s * direction, lengths, params)
         except (ValueError, np.linalg.LinAlgError):
-            s *= params.backtrack
+            s *= BACKTRACK
             continue
         if accept(cand_le.log_value) and (
             cert.certifies(cand_le) or classify(cand_le.chain).embedded
         ):
             return cand, cand_le, s
-        s *= params.backtrack
+        s *= BACKTRACK
     return None
 
 
@@ -364,13 +352,24 @@ def _record(iteration: int, le, step: float) -> FlowRecord:
     )
 
 
+def _start(chain: PolygonChain, params: FlowParams):
+    """Canonical frame, side lengths, the projected start ``(free, le)``
+    and a certificate based there; returns ``(lengths, free, le, cert)``."""
+    chain = canonicalize(chain)
+    lengths = chain.side_lengths()
+    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
+    cert = ClearanceCertificate(lengths)
+    cert.rebase(le)
+    return lengths, free, le, cert
+
+
 def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrace:
     """Drive an embedded polygon to convexity by energy descent.
 
     The energy strictly decreases across accepted steps, every accepted
     iterate is embedded and realizes the side lengths, and the run stops
     as soon as the smallest turn angle clears ``-convexity_tol``.  A step
-    that cannot make strict progress above ``min_step`` is reported as
+    that cannot make strict progress above ``MIN_STEP`` is reported as
     ``stalled``, never silently accepted.
     """
     params = params or FlowParams()
@@ -383,12 +382,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         reflected = True
     elif abs(cls.winding - TAU) > 1e-6:
         raise ValueError("embedded polygon must wind by +-2*pi")
-    chain = canonicalize(chain)
-    lengths = chain.side_lengths()
-
-    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
-    cert = ClearanceCertificate(lengths)
-    cert.rebase(le)
+    lengths, free, le, cert = _start(chain, params)
 
     trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
     trace.records.append(_record(0, le, 0.0))
@@ -412,8 +406,8 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         direction = -direction / norm
 
         # stage 1: the projected gradient direction, a handful of halvings
-        step = min(step / params.backtrack, params.initial_step)
-        stage1_floor = max(step * params.backtrack**8, params.min_step)
+        step = min(step / BACKTRACK, params.initial_step)
+        stage1_floor = max(step * BACKTRACK**8, MIN_STEP)
         hit = _line_search(
             free, direction, step, stage1_floor, lower, lengths, params, cert
         )
@@ -425,7 +419,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
             for alt_dir in (_balanced_lift_direction(le), _wall_sliding_direction(le)):
                 if alt_dir is None:
                     continue
-                floor = params.min_step if hit is None else 2.0 * hit[2]
+                floor = MIN_STEP if hit is None else 2.0 * hit[2]
                 alt = _line_search(
                     free, alt_dir, params.initial_step, floor,
                     lower, lengths, params, cert,
@@ -435,14 +429,8 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         if hit is None:
             # exhaust the plain direction before declaring a stall
             hit = _line_search(
-                free,
-                direction,
-                stage1_floor * params.backtrack,
-                params.min_step,
-                lower,
-                lengths,
-                params,
-                cert,
+                free, direction, stage1_floor * BACKTRACK, MIN_STEP,
+                lower, lengths, params, cert,
             )
         if hit is None:
             trace.status = STALLED
@@ -487,9 +475,7 @@ def reverse_flow_step(
         raise NotEmbeddedError("reverse step requires an embedded polygon")
     if abs(cls.winding - TAU) > 1e-6:
         raise ValueError("reverse step expects a counterclockwise polygon")
-    chain = canonicalize(chain)
-    lengths = chain.side_lengths()
-    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
+    lengths, free, le, cert = _start(chain, params)
     if le.log_value == -math.inf:
         raise ValueError("zero gradient: no ascent direction from a convex interior")
     direction = le.projected_gradient
@@ -506,10 +492,8 @@ def reverse_flow_step(
     def higher(log_value):  # strict ascent, at most up to the cap
         return le.log_value < log_value <= log_cap
 
-    cert = ClearanceCertificate(lengths)
-    cert.rebase(le)
     hit = _line_search(
-        free, direction / norm, params.initial_step, params.min_step,
+        free, direction / norm, params.initial_step, MIN_STEP,
         higher, lengths, params, cert,
     )
     if hit is None:

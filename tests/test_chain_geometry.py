@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polylink as pl
-from polylink.chain_geometry import normalize_angles
 
 from conftest import random_closed_chain
 
@@ -175,13 +174,6 @@ def test_normalize_angle_fold_convention():
     assert pl.normalize_angle(-math.pi) == math.pi
     assert pl.normalize_angle(math.pi) == math.pi
     assert pl.normalize_angle(3 * math.pi) == math.pi
-
-
-def test_normalize_angles_vectorized_matches_scalar():
-    xs = np.linspace(-10, 10, 1001)
-    vec = normalize_angles(xs)
-    scal = np.array([pl.normalize_angle(x) for x in xs])
-    assert np.array_equal(vec, scal)
 
 
 def test_round_trip_random_chains():

@@ -318,7 +318,7 @@ def eager_enumeration(lengths, grid_per_angle, windows=None, step=4096):
             verts = np.concatenate(
                 (front[rows], pts[:, None, :], np.zeros((rows.size, 1, 2))), axis=1
             )
-            theta = turn_angle_array(verts)
+            theta = turn_angle_array(verts)[0]
             embedded = embedded_mask(chain_vertices(ell, theta[:, : n - 1]))
             branch = np.full(rows.size, branch_id, dtype=np.int8)
             blocks.append((idx[rows], branch, theta, embedded))

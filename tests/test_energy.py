@@ -157,7 +157,7 @@ class TestEllipticKernel:
     def test_given_chain_matches_rebuilt(self, pentagon_fixture):
         lengths = pentagon_fixture.side_lengths()
         free = pl.ReducedCoords.from_chain(pentagon_fixture).free_angles
-        free, chain = pl.project_to_closure(free, lengths, return_chain=True)
+        free, chain = pl.project_to_closure(free, lengths)
         coords = pl.ReducedCoords(free)
         assert np.array_equal(chain.vertices, coords.chain(lengths)[0].vertices)
         a = pl.log_energy_gradient(coords, lengths)
@@ -197,6 +197,40 @@ class TestBump:
             h = 1e-7
             fd = (pl.bump(x + h) - pl.bump(x - h)) / (2 * h)
             assert abs(pl.bump_derivative(x) - fd) < 1e-6 * max(1, abs(fd))
+
+    @pytest.mark.filterwarnings("error")
+    def test_bits_on_a_grid_through_cutoff_and_underflow(self):
+        # reference formulas, written out: the bump was flushed to zero at
+        # x <= 0.01, and its log is -inf wherever x * x underflows to zero
+        def bump_ref(x):
+            return 0.0 if x <= 0.01 else math.exp(-1.0 / (x * x))
+
+        def derivative_ref(x):
+            if x <= 0.01:
+                return 0.0
+            return 2.0 / (x * x * x) * math.exp(-1.0 / (x * x))
+
+        def log_bump_ref(x):
+            sq = x * x
+            return -math.inf if x <= 0.0 or sq == 0.0 else -1.0 / sq
+
+        def same(a, b):
+            if math.isnan(a) or math.isnan(b):
+                return math.isnan(a) and math.isnan(b)
+            return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324,
+                   1.5e-162, 2e-162, 7e-155, 7.5e-155, 1.5e-154, 1e-10,
+                   0.0099, 0.01, 0.0366, 0.0367]
+        grid = np.geomspace(5e-324, 10.0, 4001)
+        xs = [float(x) for x in np.concatenate((special, grid, -grid))]
+        for x in xs:
+            assert same(pl.bump(x), bump_ref(x)), x
+            assert same(pl.bump_derivative(x), derivative_ref(x)), x
+            assert same(log_bump(x), log_bump_ref(x)), x
+        # the array form, which the flow uses, gives the same bits
+        logs = log_bump(np.array(xs))
+        assert all(same(a, log_bump(x)) for a, x in zip(logs.tolist(), xs))
 
 
 class TestModifiedEnergy:
@@ -353,8 +387,8 @@ class TestLogEnergy:
 
     @pytest.mark.parametrize("n", [4, 7, 12])
     def test_log_bumps_match_scalar_log_bump(self, n):
-        # the kernel builds the log bumps as one array expression; it must
-        # give the bits of the scalar log_bump, including -inf at x <= 0
+        # the log energy is the log-sum-exp of the per-angle scalar log
+        # bumps plus log F, bit for bit, with -inf bumps at x <= 0
         rng = np.random.default_rng(40 + n)
         chain = random_embedded_ccw(n, rng, require_nonconvex=True)
         le = pl.log_energy_gradient(
@@ -377,7 +411,7 @@ class TestLogEnergy:
         free = theta[:-1].copy()
         j = int(np.argmin(np.abs(free)))
         free[j] = -1e-3
-        free = pl.project_to_closure(free, lengths)
+        free, _ = pl.project_to_closure(free, lengths)
         coords = pl.ReducedCoords(free)
         le = pl.log_energy_gradient(coords, lengths)
         assert math.isfinite(le.log_value)
@@ -394,7 +428,7 @@ class TestLogEnergy:
         for lift in (0.0, 0.05, 0.1, 0.2):
             free = theta[:-1].copy()
             free[j] = theta[j] + lift
-            free = pl.project_to_closure(free, lengths)
+            free, _ = pl.project_to_closure(free, lengths)
             full = np.append(free, pl.ReducedCoords(free).dependent_angle())
             amps.append(sum(pl.bump(-t) for t in full))
         assert all(b < a for a, b in zip(amps, amps[1:]))
