@@ -139,7 +139,7 @@ def elliptic_energy(chain: PolygonChain) -> float:
 def modified_energy(chain: PolygonChain) -> float:
     """Bump-weighted energy: zero exactly when every turn angle is >= 0."""
     theta = turn_angles_from_vertices(chain).angles
-    amp = sum(bump(-t) for t in theta)
+    amp = sum(map(math.exp, log_bump(-theta).tolist()))
     if amp == 0.0:
         return 0.0
     return amp * elliptic_energy(chain)
@@ -244,7 +244,7 @@ def energy_of_free_angles(free: np.ndarray, lengths: SideLengths) -> float:
     chain, _ = vertices_from_turn_angles(lengths, np.append(free, 0.0))
     verts = chain.vertices
     theta_n = normalize_angle(TAU - float(np.sum(free)))
-    amp = sum(bump(-t) for t in free) + bump(-theta_n)
+    amp = sum(map(math.exp, log_bump(-np.append(free, theta_n)).tolist()))
     if amp == 0.0:
         return 0.0
     return amp * _elliptic_value(verts, np.zeros(2))
