@@ -25,8 +25,8 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-# Absolute tolerance for geometric equalities on unit-scale data.
-GEOM_TOL = 1e-9
+# Tolerance of side-length equality, relative to the perimeter.
+LENGTH_RTOL = 1e-9
 
 # Relative tolerance for tangency detection in circle intersections.
 TANGENT_RTOL = 1e-9
@@ -134,23 +134,25 @@ class PolygonChain:
     def perimeter(self) -> float:
         return float(self.edge_lengths().sum())
 
-    def is_canonical(self, tol: float = 1e-12) -> bool:
+    def is_canonical(self) -> bool:
         """True when the last vertex sits at the origin and the first on the
-        nonnegative x-axis."""
+        nonnegative x-axis, within ``1e-12`` times the largest coordinate."""
         last = self.vertices[-1]
         first = self.vertices[0]
-        scale = max(1.0, float(np.abs(self.vertices).max()))
+        tol = 1e-12 * float(np.abs(self.vertices).max())
         return (
-            math.hypot(last[0], last[1]) <= tol * scale
-            and abs(first[1]) <= tol * scale
-            and first[0] >= -tol * scale
+            math.hypot(last[0], last[1]) <= tol
+            and abs(first[1]) <= tol
+            and first[0] >= -tol
         )
 
-    def realizes(self, lengths: SideLengths, tol: float = GEOM_TOL) -> bool:
-        """True when every edge length matches ``lengths`` within ``tol``."""
+    def realizes(self, lengths: SideLengths) -> bool:
+        """True when every edge length matches ``lengths`` within
+        ``LENGTH_RTOL`` times their perimeter."""
         if lengths.n != self.n:
             return False
-        return bool(np.max(np.abs(self.edge_lengths() - lengths.lengths)) < tol)
+        err = np.max(np.abs(self.edge_lengths() - lengths.lengths))
+        return bool(err < LENGTH_RTOL * lengths.perimeter)
 
 
 def chain_vertices(ell: np.ndarray, turns) -> np.ndarray:
@@ -322,29 +324,23 @@ def _orient(ax, ay, bx, by, cx, cy, eps: float) -> int:
     return 1 if v > 0.0 else -1
 
 
-def segment_intersection(seg1, seg2, eps: float | None = None) -> SegmentRelation:
+def segment_intersection(seg1, seg2) -> SegmentRelation:
     """Classify how two segments intersect.
 
     ``seg1`` and ``seg2`` are point pairs.  ``PROPER_CROSSING`` means the
     open interiors cross in a single point; ``OVERLAP`` means the segments
     are collinear and share a sub-segment of positive length; any other
-    single-point contact is an ``ENDPOINT_TOUCH``.  The orientation
-    epsilon defaults to ``ORIENT_EPS`` times the squared bounding-box
-    scale of the four endpoints.
+    single-point contact is an ``ENDPOINT_TOUCH``.  With ``s`` the largest
+    coordinate magnitude of the endpoints, orientations within
+    ``ORIENT_EPS * s**2`` count as zero and extents get ``ORIENT_EPS * s``.
     """
-    (p1, p2), (q1, q2) = seg1, seg2
-    p1 = np.asarray(p1, float)
-    p2 = np.asarray(p2, float)
-    q1 = np.asarray(q1, float)
-    q2 = np.asarray(q2, float)
-    pts = np.array([p1, p2, q1, q2])
-    scale = float(np.abs(pts).max())
-    if math.hypot(*(p2 - p1)) <= 1e-14 * max(scale, 1e-300) or math.hypot(
-        *(q2 - q1)
-    ) <= 1e-14 * max(scale, 1e-300):
+    pts = np.array([*seg1, *seg2], dtype=float)
+    p1, p2, q1, q2 = pts
+    scale = max(float(np.abs(pts).max()), 1e-300)
+    if min(math.hypot(*(p2 - p1)), math.hypot(*(q2 - q1))) <= 1e-14 * scale:
         raise ValueError("degenerate (zero-length) segment")
-    if eps is None:
-        eps = ORIENT_EPS * scale * scale
+    eps = ORIENT_EPS * scale * scale
+    pad = ORIENT_EPS * scale
 
     o1 = _orient(*p1, *p2, *q1, eps)
     o2 = _orient(*p1, *p2, *q2, eps)
@@ -360,28 +356,26 @@ def segment_intersection(seg1, seg2, eps: float | None = None) -> SegmentRelatio
         a0, a1 = sorted((p1[axis], p2[axis]))
         b0, b1 = sorted((q1[axis], q2[axis]))
         lo, hi = max(a0, b0), min(a1, b1)
-        gap_tol = ORIENT_EPS * max(scale, 1e-300)
-        if hi - lo > gap_tol:
+        if hi - lo > pad:
             return SegmentRelation.OVERLAP
-        if hi - lo >= -gap_tol:
+        if hi - lo >= -pad:
             return SegmentRelation.ENDPOINT_TOUCH
         return SegmentRelation.DISJOINT
 
     touching = (
-        (o1 == 0 and _between(p1, p2, q1))
-        or (o2 == 0 and _between(p1, p2, q2))
-        or (o3 == 0 and _between(q1, q2, p1))
-        or (o4 == 0 and _between(q1, q2, p2))
+        (o1 == 0 and _between(p1, p2, q1, pad))
+        or (o2 == 0 and _between(p1, p2, q2, pad))
+        or (o3 == 0 and _between(q1, q2, p1, pad))
+        or (o4 == 0 and _between(q1, q2, p2, pad))
     )
     if touching:
         return SegmentRelation.ENDPOINT_TOUCH
     return SegmentRelation.DISJOINT
 
 
-def _between(a, b, c) -> bool:
-    """True when c lies within the axis-aligned box of segment ab (c is
-    assumed collinear with ab)."""
-    pad = ORIENT_EPS * max(1.0, float(np.abs(np.array([a, b, c])).max()))
+def _between(a, b, c, pad: float) -> bool:
+    """True when c lies within the axis-aligned box of segment ab, padded
+    by ``pad`` (c is assumed collinear with ab)."""
     return (
         min(a[0], b[0]) - pad <= c[0] <= max(a[0], b[0]) + pad
         and min(a[1], b[1]) - pad <= c[1] <= max(a[1], b[1]) + pad

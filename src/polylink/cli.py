@@ -37,6 +37,7 @@ from .chain_geometry import (
 )
 from .config_space import (
     MAX_SIGN_N,
+    WINDING_TOL,
     classify,
     enumerate_configurations,
     is_feasible,
@@ -374,7 +375,7 @@ def demo_figure_eight(samples, svg_dir):
     else:
         classes = 0
 
-    ccw = np.nonzero(sweep.embedded & (np.abs(sweep.winding - TAU) <= 1e-6))[0]
+    ccw = np.nonzero(sweep.embedded & (np.abs(sweep.winding - TAU) <= WINDING_TOL))[0]
     contiguous = bool(
         ccw.size > 0 and (ccw.max() - ccw.min() + 1 == ccw.size)
     )

@@ -462,7 +462,7 @@ def quadrilateral_expansive_step(quad, delta: float) -> np.ndarray:
     d = float(np.linalg.norm(v1 - v4))
     diag = float(np.linalg.norm(v3 - v1))
     new_diag = diag + delta
-    if new_diag > min(a + b, c + d) + 1e-12:
+    if new_diag > min(a + b, c + d) * (1.0 + 1e-12):
         raise ValueError(
             "motion blocked: a turn angle would pass 0 before delta is used up"
         )

@@ -356,10 +356,10 @@ def log_energy_gradient(
             min_den,
         )
 
-    # softmax weights of the active bumps
+    # softmax weights of the active bumps times their log-derivatives 2/x^3,
+    # formed only where the weight is positive (else 0 * inf at a tiny x)
     w = np.exp(logs - log_amp)
-    dlog_bump = np.where(x > 0.0, 2.0 / np.where(x > 0.0, x, 1.0) ** 3, 0.0)
-    contrib = w * dlog_bump
+    contrib = w * np.divide(2.0, x**3, out=np.zeros_like(x), where=w > 0.0)
     d_log_amp = -contrib[:-1] + contrib[-1]
     grad = d_log_amp + _swing_gradient(verts, vgrad) / F
     return LogEnergy(

@@ -43,7 +43,7 @@ from .chain_geometry import (
     reflect_x,
     vertices_from_turn_angles,
 )
-from .config_space import ClosureError, classify
+from .config_space import WINDING_TOL, ClosureError, classify
 from .energy import (
     ReducedCoords,
     closure_jacobian,
@@ -62,6 +62,9 @@ BACKTRACK = 0.5
 MIN_STEP = 1e-14
 # Gauss-Newton iterations before the closure projection gives up
 CLOSURE_MAX_ITER = 50
+# closure defect over the perimeter at which Newton stops: a few times the
+# defect's rounding floor (about 0.6 u P), so it is reached at any scale
+CLOSURE_RTOL = 2e-13
 
 
 class NotEmbeddedError(ValueError):
@@ -76,10 +79,9 @@ class FlowParams:
     convexity_tol: float = 1e-6
     max_iterations: int = 100_000
     snapshot_stride: int = 10
-    closure_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("initial_step", "convexity_tol", "closure_tol"):
+        for name in ("initial_step", "convexity_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iterations < 1 or self.snapshot_stride < 1:
@@ -122,20 +124,21 @@ class FlowTrace:
 
 
 def project_to_closure(
-    free_angles: np.ndarray, lengths: SideLengths, tol: float = 1e-12
+    free_angles: np.ndarray, lengths: SideLengths
 ) -> tuple[np.ndarray, PolygonChain]:
     """Gauss-Newton solve of the two closure equations in free angles.
 
     Each step is the minimum-norm correction of the closure defect, so the
-    projection moves the input as little as possible.  Requires the
-    initial defect to be below a tenth of the perimeter.  Returns the
-    projected free angles and the closed configuration the last Newton
-    check built from them.
+    projection moves the input as little as possible.  Newton stops at a
+    defect of ``CLOSURE_RTOL`` times the perimeter and requires the initial
+    one to be below a tenth of it.  Returns the projected free angles and
+    the closed configuration the last Newton check built from them.
     """
     free = np.asarray(free_angles, dtype=float).copy()
     chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
     if defect > 0.1 * lengths.perimeter:
         raise ClosureError("closure defect too large for Newton projection")
+    tol = CLOSURE_RTOL * lengths.perimeter
     for _ in range(CLOSURE_MAX_ITER):
         if defect <= tol:
             return free, chain
@@ -194,10 +197,10 @@ def _wall_sliding_direction(le) -> np.ndarray | None:
     return d / norm
 
 
-def _evaluate(free, lengths, params):
+def _evaluate(free, lengths):
     """Project free angles onto closure and evaluate the log energy there;
     returns ``(projected free angles, LogEnergy)``."""
-    free, chain = project_to_closure(free, lengths, tol=params.closure_tol)
+    free, chain = project_to_closure(free, lengths)
     return free, log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
 
 
@@ -323,7 +326,7 @@ class ClearanceCertificate:
         return 3.0 * move < clear and self.clearance(trial) > 0.0
 
 
-def _line_search(free, direction, s_start, s_floor, accept, lengths, params, cert):
+def _line_search(free, direction, s_start, s_floor, accept, lengths, cert):
     """Backtrack along one direction; returns (free, le, step) or None
     when no acceptable step at or above ``s_floor`` exists.
 
@@ -334,7 +337,7 @@ def _line_search(free, direction, s_start, s_floor, accept, lengths, params, cer
     s = s_start
     while s >= s_floor:
         try:
-            cand, cand_le = _evaluate(free + s * direction, lengths, params)
+            cand, cand_le = _evaluate(free + s * direction, lengths)
         except (ValueError, np.linalg.LinAlgError):
             s *= BACKTRACK
             continue
@@ -352,12 +355,12 @@ def _record(iteration: int, le, step: float) -> FlowRecord:
     )
 
 
-def _start(chain: PolygonChain, params: FlowParams):
+def _start(chain: PolygonChain):
     """Canonical frame, side lengths, the projected start ``(free, le)``
     and a certificate based there; returns ``(lengths, free, le, cert)``."""
     chain = canonicalize(chain)
     lengths = chain.side_lengths()
-    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths, params)
+    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths)
     cert = ClearanceCertificate(lengths)
     cert.rebase(le)
     return lengths, free, le, cert
@@ -377,12 +380,12 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
     if not cls.embedded:
         raise NotEmbeddedError("convexify requires an embedded input polygon")
     reflected = False
-    if abs(cls.winding + TAU) <= 1e-6:
+    if abs(cls.winding + TAU) <= WINDING_TOL:
         chain = reflect_x(chain)
         reflected = True
-    elif abs(cls.winding - TAU) > 1e-6:
+    elif abs(cls.winding - TAU) > WINDING_TOL:
         raise ValueError("embedded polygon must wind by +-2*pi")
-    lengths, free, le, cert = _start(chain, params)
+    lengths, free, le, cert = _start(chain)
 
     trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
     trace.records.append(_record(0, le, 0.0))
@@ -408,9 +411,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         # stage 1: the projected gradient direction, a handful of halvings
         step = min(step / BACKTRACK, params.initial_step)
         stage1_floor = max(step * BACKTRACK**8, MIN_STEP)
-        hit = _line_search(
-            free, direction, step, stage1_floor, lower, lengths, params, cert
-        )
+        hit = _line_search(free, direction, step, stage1_floor, lower, lengths, cert)
         if hit is None or hit[2] < 0.05 * params.initial_step:
             # gradient progress has collapsed (tied reflex angles in
             # lockstep, or the contact barrier); try coarser but more
@@ -421,8 +422,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
                     continue
                 floor = MIN_STEP if hit is None else 2.0 * hit[2]
                 alt = _line_search(
-                    free, alt_dir, params.initial_step, floor,
-                    lower, lengths, params, cert,
+                    free, alt_dir, params.initial_step, floor, lower, lengths, cert
                 )
                 if alt is not None and (hit is None or alt[2] > hit[2]):
                     hit = alt
@@ -430,7 +430,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
             # exhaust the plain direction before declaring a stall
             hit = _line_search(
                 free, direction, stage1_floor * BACKTRACK, MIN_STEP,
-                lower, lengths, params, cert,
+                lower, lengths, cert,
             )
         if hit is None:
             trace.status = STALLED
@@ -473,9 +473,9 @@ def reverse_flow_step(
     cls = classify(chain)
     if not cls.embedded:
         raise NotEmbeddedError("reverse step requires an embedded polygon")
-    if abs(cls.winding - TAU) > 1e-6:
+    if abs(cls.winding - TAU) > WINDING_TOL:
         raise ValueError("reverse step expects a counterclockwise polygon")
-    lengths, free, le, cert = _start(chain, params)
+    lengths, free, le, cert = _start(chain)
     if le.log_value == -math.inf:
         raise ValueError("zero gradient: no ascent direction from a convex interior")
     direction = le.projected_gradient
@@ -493,8 +493,7 @@ def reverse_flow_step(
         return le.log_value < log_value <= log_cap
 
     hit = _line_search(
-        free, direction / norm, params.initial_step, MIN_STEP,
-        higher, lengths, params, cert,
+        free, direction / norm, params.initial_step, MIN_STEP, higher, lengths, cert
     )
     if hit is None:
         raise ValueError("no acceptable ascent step above the step floor")

@@ -9,6 +9,8 @@ import polylink as pl
 from conftest import random_closed_chain
 
 TAU = 2.0 * math.pi
+# lengths of any unit: a relation or a check must not change under rescaling
+SCALES = (1e-9, 1.0, 1e9)
 
 
 class TestVerticesFromTurnAngles:
@@ -98,6 +100,20 @@ class TestCanonicalize:
         )
         assert np.max(np.abs(d_in - d_out)) < 1e-12 * max(1, d_in.max())
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_is_canonical_at_any_scale(self, scale):
+        assert pl.PolygonChain(self.square * scale).is_canonical()
+        a = 1e-6  # a small rotation moves vertex 0 off the x-axis
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        assert not pl.PolygonChain(self.square @ rot.T * scale).is_canonical()
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_realizes_at_any_scale(scale):
+    chain = pl.PolygonChain(TestCanonicalize.square * scale)
+    assert chain.realizes(pl.SideLengths(np.ones(4) * scale))
+    assert not chain.realizes(pl.SideLengths(np.array([1, 1, 1, 1 + 1e-6]) * scale))
+
 
 class TestCircleIntersection:
     def test_two_points_with_ordering(self):
@@ -132,34 +148,50 @@ class TestCircleIntersection:
                 assert abs(np.hypot(*(np.array(pt) - c2)) - r2) < tol
 
 
+def _relation(seg1, seg2):
+    """How two segments meet, asserted the same at every scale in SCALES."""
+    rels = {
+        pl.segment_intersection(np.multiply(seg1, s), np.multiply(seg2, s))
+        for s in SCALES
+    }
+    assert len(rels) == 1, rels
+    return rels.pop()
+
+
 class TestSegmentIntersection:
     def test_proper_crossing(self):
-        rel = pl.segment_intersection(((0, 0), (2, 2)), ((2, 0), (0, 2)))
+        rel = _relation(((0, 0), (2, 2)), ((2, 0), (0, 2)))
         assert rel is pl.SegmentRelation.PROPER_CROSSING
 
     def test_endpoint_touch(self):
-        rel = pl.segment_intersection(((0, 0), (1, 0)), ((1, 0), (1, 1)))
+        rel = _relation(((0, 0), (1, 0)), ((1, 0), (1, 1)))
         assert rel is pl.SegmentRelation.ENDPOINT_TOUCH
 
     def test_collinear_overlap(self):
-        rel = pl.segment_intersection(((0, 0), (2, 0)), ((1, 0), (3, 0)))
+        rel = _relation(((0, 0), (2, 0)), ((1, 0), (3, 0)))
         assert rel is pl.SegmentRelation.OVERLAP
 
     def test_disjoint(self):
-        rel = pl.segment_intersection(((0, 0), (1, 0)), ((0, 1), (1, 1)))
+        rel = _relation(((0, 0), (1, 0)), ((0, 1), (1, 1)))
+        assert rel is pl.SegmentRelation.DISJOINT
+
+    def test_near_miss_is_disjoint(self):
+        # the second segment starts on the first one's line, 5e-4 past its end
+        rel = _relation(((0, 0), (1, 0)), ((1.0005, 0), (2, 1)))
         assert rel is pl.SegmentRelation.DISJOINT
 
     def test_t_junction_is_touch(self):
-        rel = pl.segment_intersection(((0, 0), (2, 0)), ((1, 0), (1, 1)))
+        rel = _relation(((0, 0), (2, 0)), ((1, 0), (1, 1)))
         assert rel is pl.SegmentRelation.ENDPOINT_TOUCH
 
     def test_collinear_endpoint_touch(self):
-        rel = pl.segment_intersection(((0, 0), (1, 0)), ((1, 0), (2, 0)))
+        rel = _relation(((0, 0), (1, 0)), ((1, 0), (2, 0)))
         assert rel is pl.SegmentRelation.ENDPOINT_TOUCH
 
     def test_degenerate_segment(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            pl.segment_intersection(((0, 0), (0, 0)), ((1, 0), (1, 1)))
+        for s in SCALES:
+            with pytest.raises(ValueError, match="degenerate"):
+                pl.segment_intersection(((0, 0), (0, 0)), ((s, 0), (s, s)))
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))

@@ -12,7 +12,7 @@ import polylink as pl
 from polylink import flow
 from polylink.cli import main, render_json
 
-from conftest import random_embedded_ccw
+from conftest import load_fixture_chain, random_embedded_ccw
 
 TAU = 2.0 * math.pi
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -250,6 +250,15 @@ class TestConvexify:
         assert r.exit_code == 4
         assert r.stdout == ""
         assert json.loads(r.stderr) == {"error": "closure Newton did not converge"}
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_scaled_hexagon_exits_0(self, runner, tmp_path, scale):
+        # the closure projection must reach its tolerance at any scale
+        verts = load_fixture_chain("hexagon_nonconvex.json").vertices * scale
+        f = write(tmp_path, "p.json", {"vertices": verts.tolist()})
+        r = invoke(runner, ["convexify", f])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["status"] == "converged_convex"
 
     @pytest.mark.parametrize(
         "option, value, message",

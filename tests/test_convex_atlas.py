@@ -108,6 +108,13 @@ class TestQuadrilateralExpansiveStep:
         with pytest.raises(ValueError, match="blocked"):
             pl.quadrilateral_expansive_step(self.square, 1.0)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0])
+    def test_blocked_just_past_the_flat_limit_at_any_scale(self, scale):
+        # the diagonal would grow to 1 + 5e-7 times its flat-state length 2
+        delta = (2.0 * (1.0 + 5e-7) - math.sqrt(2.0)) * scale
+        with pytest.raises(ValueError, match="a turn angle would pass 0"):
+            pl.quadrilateral_expansive_step(self.square * scale, delta)
+
     def test_monotone_turn_angles_along_substeps(self):
         rng = np.random.default_rng(21)
         for _ in range(5):

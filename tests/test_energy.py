@@ -418,6 +418,20 @@ class TestLogEnergy:
         assert le.log_value < -9e5  # ~ -1/(1e-3)^2
         assert np.linalg.norm(le.projected_gradient) > 0
 
+    @pytest.mark.parametrize("reflex", [-1e-104, -1e-120])
+    def test_finite_gradient_at_a_vanishing_reflex_angle(
+        self, pentagon_fixture, reflex
+    ):
+        # beside the fixture's own reflex angles this one's softmax weight
+        # is 0, while its bump log-derivative 2/x^3 overflows
+        lengths = pentagon_fixture.side_lengths()
+        free = pl.ReducedCoords.from_chain(pentagon_fixture).free_angles.copy()
+        free[np.argmax(free)] = reflex
+        le = pl.log_energy_gradient(pl.ReducedCoords(free), lengths)
+        assert math.isfinite(le.log_value)
+        assert np.all(np.isfinite(le.gradient))
+        assert np.all(np.isfinite(le.projected_gradient))
+
     def test_bump_factor_decreases_as_reflex_rises(self, pentagon_fixture):
         # raising the single reflex angle toward zero (closure re-projected)
         # strictly shrinks the bump amplitude

@@ -22,11 +22,11 @@ def _embedded(le) -> bool:
     return bool(embedded_mask(le.chain.vertices[None])[0])
 
 
-def _probe(free, lengths, params):
+def _probe(free, lengths):
     """The flow's evaluation of free angles, ``(projected free angles,
     LogEnergy)``, or None where the line search would skip them."""
     try:
-        return flow._evaluate(free, lengths, params)
+        return flow._evaluate(free, lengths)
     except (ValueError, np.linalg.LinAlgError):
         return None
 
@@ -46,13 +46,13 @@ def _tiny_edge_polygon(n, rng):
             return pl.canonicalize(chain)
 
 
-def _toward_boundary(free, direction, lengths, params, depth):
+def _toward_boundary(free, direction, lengths, depth):
     """Walk from ``free`` along ``direction``, projecting onto closure at
     every step, until the chain stops being embedded; returns free angles
     ``10**-depth`` (along ``direction``) short of that point, which
     bisection locates."""
     def probe(t):
-        hit = _probe(free + t * direction, lengths, params)
+        hit = _probe(free + t * direction, lengths)
         return hit if hit is not None and _embedded(hit[1]) else None
 
     h = 0.05
@@ -82,8 +82,6 @@ def _pair(kind, seed, n, depth, overshoot, scale_exp):
     free = pl.ReducedCoords.from_chain(chain).free_angles
     scale = 10.0**scale_exp if kind == "scaled" else 1.0
     lengths = pl.SideLengths(chain.side_lengths().lengths * scale)
-    # an absolute closure tolerance cannot be met at large scales
-    params = pl.FlowParams(closure_tol=1e-12 * max(scale, 1.0))
     if kind == "near-fold":
         # open or close the sharpest turn toward a fold
         direction = np.zeros_like(free)
@@ -92,12 +90,12 @@ def _pair(kind, seed, n, depth, overshoot, scale_exp):
     else:
         direction = rng.normal(size=free.size)
         direction /= np.linalg.norm(direction)
-    free = _toward_boundary(free, direction, lengths, params, depth)
+    free = _toward_boundary(free, direction, lengths, depth)
     # the trial moves on toward the boundary, a little off the line
     wobble = rng.normal(size=free.size)
     step = direction + 0.3 * wobble / np.linalg.norm(wobble)
     trial_free = free + 10.0 ** (overshoot - depth) * step / np.linalg.norm(step)
-    base, trial = _probe(free, lengths, params), _probe(trial_free, lengths, params)
+    base, trial = _probe(free, lengths), _probe(trial_free, lengths)
     return lengths, base and base[1], trial and trial[1]
 
 
@@ -143,30 +141,32 @@ def test_near_degenerate_pairs_reach_both_verdicts():
     assert certified >= 5 and rejected >= 5
 
 
-def _contact_pair(pts, params, shrink):
+def _contact_pair(pts, shrink):
     """Walk the polygon ``pts`` in the flow's coordinates, tangent to
     closure, down ``shrink(vertices) -> (gap, d gap**2 / d free angles)``
     to where the chain stops being embedded; returns the side lengths and
     the flow's evaluations just before and just past that point."""
     chain = pl.canonicalize(pl.PolygonChain(np.asarray(pts, float)))
     lengths = chain.side_lengths()
-    free, le = _probe(pl.ReducedCoords.from_chain(chain).free_angles, lengths, params)
+    free, le = _probe(pl.ReducedCoords.from_chain(chain).free_angles, lengths)
     while True:
         gap, grad = shrink(le.chain.vertices)
         d = -project_tangent(grad, le.jacobian)
         d /= np.linalg.norm(d)
         h = min(0.01, 0.2 * gap)
-        hit = _probe(free + h * d, lengths, params)
+        hit = _probe(free + h * d, lengths)
         if hit is None or not _embedded(hit[1]):
             break
         free, le = hit
     lo, hi = 0.0, h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        hit = _probe(free + mid * d, lengths, params)
+        hit = _probe(free + mid * d, lengths)
         lo, hi = (mid, hi) if hit and _embedded(hit[1]) else (lo, mid)
-    base = _probe(free + (lo - 1e-15) * d, lengths, params)[1]
-    trial = _probe(free + (hi + 1e-15) * d, lengths, params)[1]
+    # the bracket's own ends: rounding makes embeddedness ragged at this
+    # resolution, so a point just outside the bracket may fall either way
+    base = _probe(free + lo * d, lengths)[1]
+    trial = _probe(free + hi * d, lengths)[1]
     assert _embedded(base) and not _embedded(trial)
     return lengths, base, trial
 
@@ -189,7 +189,6 @@ def test_tolerance_band_guards_a_vertex_pinch():
     pinch = [[0, 0], [1, -1], [1, 1], [0.1, 0], [-1, 1], [-1, -1]]
     lengths, base, trial = _contact_pair(
         pinch,
-        pl.FlowParams(),
         lambda v: (np.linalg.norm(v[3] - v[0]), _swing(v, v[0])),
     )
     move = np.abs(trial.chain.vertices - base.chain.vertices).max()
@@ -197,14 +196,15 @@ def test_tolerance_band_guards_a_vertex_pinch():
     assert not _certifies(lengths, base, trial)
 
 
-def test_closure_defect_is_budgeted():
+def test_closure_defect_is_budgeted(monkeypatch):
     # with a loose closure tolerance the stored edge 0 starts far from the
     # origin, where the kernel anchors it: vertex 3 touches the stored edge
     # while the kernel still sees it clear by a wide margin
     dent = [[2, 0], [2, 1], [1.2, 1], [1, 0.3], [0.8, 1], [0, 1], [0, 0]]
+    perimeter = pl.PolygonChain(np.asarray(dent, float)).perimeter
+    monkeypatch.setattr(flow, "CLOSURE_RTOL", 1e-3 / perimeter)
     lengths, base, trial = _contact_pair(
         dent,
-        pl.FlowParams(closure_tol=1e-3),
         lambda v: (v[3, 1], _swing(v, (v[3, 0], 0.0))),
     )
     move = np.abs(trial.chain.vertices - base.chain.vertices).max()
