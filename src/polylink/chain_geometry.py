@@ -28,6 +28,10 @@ TAU = 2.0 * math.pi
 # Tolerance of side-length equality, relative to the perimeter.
 LENGTH_RTOL = 1e-9
 
+# Closure defect, relative to the perimeter, beyond which turn angles do
+# not describe a closed polygon.
+CLOSURE_DATA_RTOL = 1e-6
+
 # Relative tolerance for tangency detection in circle intersections.
 TANGENT_RTOL = 1e-9
 

@@ -28,6 +28,7 @@ import click
 import numpy as np
 
 from .chain_geometry import (
+    CLOSURE_DATA_RTOL,
     TAU,
     PolygonChain,
     SideLengths,
@@ -134,7 +135,7 @@ def _load_polygon(path: str) -> tuple[PolygonChain, float]:
         chain, defect = vertices_from_turn_angles(lengths, angles)
     except (TypeError, ValueError) as exc:
         _fail(f"bad polygon data: {exc}", EXIT_PARSE)
-    if defect > 1e-6 * lengths.perimeter:
+    if defect > CLOSURE_DATA_RTOL * lengths.perimeter:
         _fail(f"polygon data does not close (defect {defect:.3e})", EXIT_PARSE)
     return chain, defect
 
@@ -276,6 +277,13 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
     sys.exit(EXIT_OK if trace.status == CONVERGED else EXIT_NOCONVERGE)
 
 
+# the fields of an atlas row, in output order; CSV spreads the prefix
+# over one column per angle
+ATLAS_FIELDS = (
+    "prefix", "nu", "mu", "witness_kind_min", "witness_kind_max", "witness_j"
+)
+
+
 def _write_atlas(lengths, k, grid, fmt, output):
     """Sample the atlas and write it as CSV or JSON.
 
@@ -285,48 +293,22 @@ def _write_atlas(lengths, k, grid, fmt, output):
     results do) would otherwise keep every witness chain alive.
     """
     sample = sample_atlas(lengths, k, grid)
+    rows = (
+        (r.prefix, r.nu, r.mu, r.witness_min.kind, r.witness_max.kind, r.witness_max.j)
+        for r in sample.rows
+    )
     if fmt == "csv":
-        header = [f"alpha_{i}" for i in range(k - 1)] + [
-            "nu",
-            "mu",
-            "witness_kind_min",
-            "witness_kind_max",
-            "witness_j",
-        ]
+        header = [f"alpha_{i}" for i in range(k - 1)] + list(ATLAS_FIELDS[1:])
         lines = [",".join(header)]
-        for row in sample.rows:
-            cells = [format(a, ".17g") for a in row.prefix]
-            cells += [
-                format(row.nu, ".17g"),
-                format(row.mu, ".17g"),
-                row.witness_min.kind,
-                row.witness_max.kind,
-                str(row.witness_max.j),
-            ]
+        for prefix, nu, mu, *rest in rows:
+            cells = [format(a, ".17g") for a in prefix]
+            cells += [format(nu, ".17g"), format(mu, ".17g"), *map(str, rest)]
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
-        text = (
-            render_json(
-                {
-                    "lengths": list(lengths.lengths),
-                    "k": k,
-                    "grid": grid,
-                    "rows": [
-                        {
-                            "prefix": list(row.prefix),
-                            "nu": row.nu,
-                            "mu": row.mu,
-                            "witness_kind_min": row.witness_min.kind,
-                            "witness_kind_max": row.witness_max.kind,
-                            "witness_j": row.witness_max.j,
-                        }
-                        for row in sample.rows
-                    ],
-                }
-            )
-            + "\n"
-        )
+        rows = [dict(zip(ATLAS_FIELDS, row)) for row in rows]
+        out = {"lengths": list(lengths.lengths), "k": k, "grid": grid, "rows": rows}
+        text = render_json(out) + "\n"
     if output == "-":
         click.echo(text, nl=False)
     else:
@@ -354,13 +336,15 @@ def atlas(lengths_file, k, grid, fmt, output):
         sys.exit(EXIT_LENGTHS)
     if not 1 <= k <= lengths.n - 3:
         raise click.UsageError(f"--k must lie in 1..{lengths.n - 3} for n = {lengths.n}")
+    if k > 1 and grid < 2:
+        raise click.UsageError("--grid must be >= 2 to sample levels past 1")
 
     _write_atlas(lengths, k, grid, fmt, output)
     sys.exit(EXIT_OK)
 
 
 @main.command("demo-figure-eight")
-@click.option("--samples", type=int, default=10_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--svg", "svg_dir", type=str, default=None)
 def demo_figure_eight(samples, svg_dir):
     """Sweep the (6,4,2,4) linkage whose configuration space is a figure

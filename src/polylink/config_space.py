@@ -32,7 +32,10 @@ from .chain_geometry import (
 )
 
 WINDING_TOL = 1e-6
-CONVEX_ANGLE_SLACK = 1e-9
+CONVEX_ANGLE_SLACK = 1e-9  # rad: the slack of every turn-angle convexity test
+# (chain, non-adjacent edge pair) entries one embeddedness pass of the
+# enumeration holds, at about 170 bytes each: about 22 MB at n = 5
+CHUNK = 1 << 17
 
 
 class ClosureError(ValueError):
@@ -53,12 +56,10 @@ class StraightLineReport:
     """Sign vectors epsilon in {+1,-1}^n with sum(eps_i * l_i) = 0.
 
     Only the representative with ``eps[0] == +1`` of each ``{eps, -eps}``
-    pair is listed.  ``exact`` is True when membership was decided in exact
-    rational arithmetic.
+    pair is listed.  Membership is decided in exact rational arithmetic.
     """
 
     sign_vectors: tuple[tuple[int, ...], ...]
-    exact: bool
 
     def __len__(self) -> int:
         return len(self.sign_vectors)
@@ -79,12 +80,18 @@ def classify(chain: PolygonChain) -> ConfigClass:
     angles = turn_angles_from_vertices(chain)
     embedded = bool(embedded_mask(chain.vertices[None])[0])
     winding = angles.winding
-    convex = (
-        embedded
-        and abs(winding - TAU) <= WINDING_TOL
-        and float(angles.angles.min()) >= -CONVEX_ANGLE_SLACK
-    )
+    convex = embedded and bool(_convex_turns(angles.angles[None], winding)[0])
     return ConfigClass(embedded=embedded, winding=winding, convex_ccw=convex)
+
+
+def _convex_turns(angles: np.ndarray, winding) -> np.ndarray:
+    """The turn-angle part of convexity for each row of ``(M, n)`` turn
+    angles with its winding: ``2 pi`` within ``WINDING_TOL`` and no angle
+    below ``-CONVEX_ANGLE_SLACK`` (a NaN angle fails)."""
+    ok = np.abs(winding - TAU) <= WINDING_TOL
+    for column in angles.T:  # a column at a time: a row-wise min is 5x slower
+        ok = ok & (column >= -CONVEX_ANGLE_SLACK)
+    return ok
 
 
 def is_feasible(lengths: SideLengths) -> bool:
@@ -223,7 +230,7 @@ def straight_line_sign_vectors(
                 f"more than {MAX_LISTED} straight-line sign vectors to list"
             )
     found.sort()
-    return StraightLineReport(sign_vectors=tuple(v for _, v in found), exact=True)
+    return StraightLineReport(sign_vectors=tuple(v for _, v in found))
 
 
 def is_generic(lengths: SideLengths, tolerance: float | None = None) -> bool:
@@ -284,10 +291,8 @@ class ConfigSampleSet:
     ``n - 4`` free angles, angle ``n - 4`` once per grid point, angles
     ``n-3 .. n-1``, winding and convexity per row.  The sweep's memory
     is this result plus 16 bytes per grid point.  ``embedded`` is
-    computed from the stored angles when first read, in passes of
-    ``pass_rows`` chains, and then kept.  Each pass holds about 170 bytes
-    per (chain, non-adjacent edge pair) in temporaries: about 22 MB at
-    the default ``chunk`` of :func:`enumerate_configurations`.
+    computed from the stored angles when first read, in passes that
+    ``CHUNK`` bounds, and then kept.
     """
 
     lengths: SideLengths
@@ -297,7 +302,6 @@ class ConfigSampleSet:
     angles: np.ndarray  # (M, n) float
     winding: np.ndarray  # (M,)
     convex_ccw: np.ndarray  # (M,) bool
-    pass_rows: int  # chains per embeddedness pass
 
     def __len__(self) -> int:
         return int(self.branch.size)
@@ -305,7 +309,7 @@ class ConfigSampleSet:
     @cached_property
     def embedded(self) -> np.ndarray:
         """(M,) bool: embeddedness of every stored configuration."""
-        return _embedded_rows(self.lengths.lengths, self.angles, self.pass_rows)
+        return _embedded_rows(self.lengths.lengths, self.angles)
 
     def free_values(self, i: int) -> np.ndarray:
         n3 = self.free_indices.shape[1]
@@ -319,7 +323,7 @@ class ConfigSampleSet:
         if "embedded" in self.__dict__:
             embedded = bool(self.embedded[i])
         else:  # one row: the tolerance is per chain, so the answer is the same
-            row = _embedded_rows(self.lengths.lengths, self.angles[[i]], 1)
+            row = _embedded_rows(self.lengths.lengths, self.angles[[i]])
             embedded = bool(row[0])
         return ConfigRecord(
             free_values=self.free_values(i),
@@ -334,16 +338,16 @@ class ConfigSampleSet:
         )
 
 
-def _embedded_rows(
-    ell: np.ndarray, angles: np.ndarray, pass_rows: int
-) -> np.ndarray:
+def _embedded_rows(ell: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """:func:`~polylink.chain_geometry.embedded_mask` of the chains rebuilt
-    from ``angles`` (the chains :meth:`ConfigSampleSet.chain` returns),
-    ``pass_rows`` chains at a time."""
+    from ``angles`` (the chains :meth:`ConfigSampleSet.chain` returns), in
+    passes of at most ``CHUNK`` (chain, non-adjacent edge pair) entries."""
+    n = ell.size
+    step = max(CHUNK // max(n * (n - 3) // 2, 1), 1)
     out = np.empty(len(angles), dtype=bool)
-    for s in range(0, len(angles), pass_rows):
-        part = angles[s : s + pass_rows, : ell.size - 1]
-        out[s : s + pass_rows] = embedded_mask(chain_vertices(ell, part))
+    for s in range(0, len(angles), step):
+        part = angles[s : s + step, : n - 1]
+        out[s : s + step] = embedded_mask(chain_vertices(ell, part))
     return out
 
 
@@ -416,7 +420,6 @@ def _elbows(vertex: np.ndarray, d: np.ndarray, tangent: np.ndarray, r1, r2):
 def enumerate_configurations(
     lengths: SideLengths,
     grid_per_angle: int,
-    chunk: int = 1 << 17,
     windows: list[tuple[float, float] | None] | None = None,
 ) -> ConfigSampleSet:
     """Sweep a uniform grid over the free turn angles and close each chain.
@@ -448,7 +451,7 @@ def enumerate_configurations(
     A counting pass stores vertex ``n - 3`` of every grid point and sizes
     the columns; a second pass fills them.  Besides the result, memory
     holds those 16 bytes per grid point, a few numbers per prefix and one
-    pass's temporaries, which ``chunk`` bounds.
+    pass's temporaries, which ``CHUNK`` bounds.
 
     Convexity is decided by the turn-angle test (winding ``2 pi``, no
     negative angle beyond a slack) first, and only the rows that pass it
@@ -481,14 +484,9 @@ def enumerate_configurations(
     total = grid_per_angle**n3
     r1, r2 = float(ell[n - 2]), float(ell[n - 1])
     tol = TANGENT_RTOL * (r1 + r2)
-    slack = -CONVEX_ANGLE_SLACK
-    # pass sizes: an embeddedness pass tests ``step`` chains, so its
-    # temporaries hold one entry per (chain, non-adjacent edge pair), at
-    # most ``chunk`` of them, at about 170 bytes each (22 MB per pass at
-    # the default chunk, n = 5); a sweep pass closes ``sweep`` grid points,
-    # and its temporaries hold at most about 32 numbers per grid point
-    step = max(chunk // max(n * (n - 3) // 2, 1), 1)
-    sweep = max(chunk // 32, 1)
+    # a sweep pass closes ``sweep`` grid points, and its temporaries hold
+    # at most about 32 numbers per grid point
+    sweep = max(CHUNK // 32, 1)
     passes = [(s, min(s + sweep, total)) for s in range(0, total, sweep)]
 
     # a grid point is a prefix and a last free angle; for n = 3 the one
@@ -530,7 +528,6 @@ def enumerate_configurations(
         front = np.concatenate((turns.take(pre, axis=0), joint), axis=1)
         ang = angles[out]
         ang[:, :n3] = front.take(point, axis=0)
-        ok = (front >= slack).all(axis=1).take(point)
         # edge 0 closes the cycle; for n = 3 it is edge n - 3 itself
         wrap = edges[..., 0].take(pre, axis=1) if n > 3 else mid
 
@@ -545,12 +542,10 @@ def enumerate_configurations(
         )
         for col, (e, nxt) in enumerate(pairs, n3):
             ang[:, col] = edge_turn_angles(e, nxt)
-            ok &= ang[:, col] >= slack
 
         winding[out] = ang.sum(axis=1)
-        ok &= np.abs(winding[out] - TAU) <= WINDING_TOL
-        cand = np.nonzero(ok)[0]
-        convex[out][cand] = _embedded_rows(ell, ang[cand], step)
+        cand = np.nonzero(_convex_turns(ang, winding[out]))[0]
+        convex[out][cand] = _embedded_rows(ell, ang[cand])
         return out.stop
 
     size = sum(count(start, stop) for start, stop in passes)
@@ -571,7 +566,6 @@ def enumerate_configurations(
         angles=angles,
         winding=winding,
         convex_ccw=convex,
-        pass_rows=step,
     )
 
 

@@ -44,10 +44,8 @@ from .chain_geometry import (
     turn_angle_array,
     turn_angles_from_vertices,
 )
-from .config_space import is_generic
+from .config_space import CONVEX_ANGLE_SLACK, is_generic
 
-ANGLE_SLACK = 1e-9  # tolerance below 0 / above pi for convexity checks
-FLAT_TOL = 1e-7  # |turn| below this counts as a flat vertex in witnesses
 TIE_TOL = 1e-9
 PREFIX_TOL = 1e-9  # slack of contains_prefix at each interval end
 BLOCK = 2048  # prefixes per kernel call; bounds the (P, C, n, 2) candidate arrays
@@ -69,10 +67,9 @@ class AnglePrefix:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.alpha, dtype=float)).reshape(-1)
-        if arr.size and (arr.min() < 0.0 or arr.max() >= math.pi):
-            raise ValueError("prefix angles must lie in [0, pi)")
-        if arr.size and np.cumsum(arr).max() > TAU + 1e-9:
-            raise ValueError("prefix angles must not turn past 2*pi in total")
+        error = _prefix_errors(arr[None])[0]
+        if error is not None:
+            raise error
         object.__setattr__(self, "alpha", arr)
 
     def __len__(self) -> int:
@@ -98,41 +95,44 @@ class StretchedWitness:
     tie: bool = False
 
 
-def _as_prefix(alpha) -> np.ndarray:
-    if isinstance(alpha, AnglePrefix):
-        return alpha.alpha
-    arr = np.asarray(alpha, dtype=float).reshape(-1)
-    # tolerate construction noise at the convex boundary
-    if arr.size and arr.min() >= -ANGLE_SLACK:
-        arr = np.maximum(arr, 0.0)
-    return AnglePrefix(arr).alpha
+def _prefix_errors(rows: np.ndarray) -> list:
+    """Per row of a ``(P, m)`` block, the ``ValueError`` of a prefix with
+    an angle outside [0, pi) or turning past 2*pi in total, else ``None``."""
+    errors: list = [None] * rows.shape[0]
+    if rows.shape[1]:
+        outside = (rows.min(axis=1) < 0.0) | (rows.max(axis=1) >= math.pi)
+        past = np.cumsum(rows, axis=1).max(axis=1) > TAU + CONVEX_ANGLE_SLACK
+        for r in np.flatnonzero(outside):
+            errors[r] = ValueError("prefix angles must lie in [0, pi)")
+        for r in np.flatnonzero(past & ~outside):
+            errors[r] = ValueError("prefix angles must not turn past 2*pi in total")
+    return errors
 
 
 def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, list]:
-    """:func:`_as_prefix` of every row of a ``(P, m)`` block.
+    """Every row of a ``(P, m)`` block as a prefix: rows with no angle
+    below ``-CONVEX_ANGLE_SLACK`` have their construction noise clamped to
+    0.  Returns the rows and :func:`_prefix_errors` of them."""
+    if alphas.shape[1]:
+        noise = (alphas.min(axis=1) >= -CONVEX_ANGLE_SLACK)[:, None]
+        alphas = np.where(noise, np.maximum(alphas, 0.0), alphas)
+    return alphas, _prefix_errors(alphas)
 
-    Returns the clamped rows and, per row, the ``ValueError`` that
-    :func:`_as_prefix` raises on it (``None`` when the row is valid).
-    """
-    errors: list = [None] * alphas.shape[0]
-    if not alphas.shape[1]:
-        return alphas, errors
-    noise = (alphas.min(axis=1) >= -ANGLE_SLACK)[:, None]
-    rows = np.where(noise, np.maximum(alphas, 0.0), alphas)
-    bad = (rows.min(axis=1) < 0.0) | (rows.max(axis=1) >= math.pi)
-    bad |= np.cumsum(rows, axis=1).max(axis=1) > TAU + 1e-9
-    for r in np.flatnonzero(bad):
-        try:
-            _as_prefix(alphas[r])
-        except ValueError as exc:
-            errors[r] = exc
-    return rows, errors
+
+def _as_prefix(alpha) -> np.ndarray:
+    """:func:`_as_prefix_rows` of one prefix, raising its error."""
+    if isinstance(alpha, AnglePrefix):
+        return alpha.alpha
+    rows, errors = _as_prefix_rows(np.asarray(alpha, dtype=float).reshape(1, -1))
+    if errors[0] is not None:
+        raise errors[0]
+    return rows[0]
 
 
 def _convex(theta: np.ndarray) -> np.ndarray:
     """Turn angles in [0, pi) within slack, elementwise (NaN passes, as
     in a scalar ``not (t < lo or t >= hi)`` test)."""
-    return ~((theta < -ANGLE_SLACK) | (theta >= math.pi - ANGLE_SLACK))
+    return ~((theta < -CONVEX_ANGLE_SLACK) | (theta >= math.pi - CONVEX_ANGLE_SLACK))
 
 
 def _require_generic(lengths: SideLengths):
@@ -244,7 +244,7 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     r1 = float(ell[K])
     tail = float(ell[K + 1 :].sum())
     d = _hypot(pk[:, 0], pk[:, 1])
-    tol = 1e-9 * (r1 + tail)
+    tol = TANGENT_RTOL * (r1 + tail)
     for r in np.flatnonzero(d > r1 + tail + tol):
         errors[r] = PrefixError(
             "prefix endpoint cannot reach closure even with a straight tail"
@@ -264,7 +264,7 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     theta, degenerate = turn_angle_array(verts)
     theta_k = theta[..., K - 1]
     convex = _convex(theta)
-    convex[..., K - 1] = ~(theta_k >= math.pi - ANGLE_SLACK)  # may be negative
+    convex[..., K - 1] = ~(theta_k >= math.pi - CONVEX_ANGLE_SLACK)  # may be negative
     ok = built & convex.all(axis=-1)
     best, arg, tie = _pick(theta_k, ok, maximize=False)
 
@@ -272,7 +272,7 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
         if errors[r] is None:
             errors[r] = ValueError("zero-length edge: turn angle undefined")
     # a tiny negative minimum is construction noise on an exact zero
-    case_b = (arg >= 0) & (best >= -ANGLE_SLACK)
+    case_b = (arg >= 0) & (best >= -CONVEX_ANGLE_SLACK)
     for r in np.flatnonzero(case_b):
         nu[r] = max(float(best[r]), 0.0)
         if witnesses:

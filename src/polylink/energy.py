@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain_geometry import (
+    CLOSURE_DATA_RTOL,
     TAU,
     PolygonChain,
     SideLengths,
@@ -136,10 +137,15 @@ def elliptic_energy(chain: PolygonChain) -> float:
     return _elliptic_value(verts, verts[-1])
 
 
+def _bump_amplitude(theta: np.ndarray) -> float:
+    """The bump factor of the modified energy: the sum of the bumps of the
+    negated turn angles."""
+    return sum(map(math.exp, log_bump(-theta).tolist()))
+
+
 def modified_energy(chain: PolygonChain) -> float:
     """Bump-weighted energy: zero exactly when every turn angle is >= 0."""
-    theta = turn_angles_from_vertices(chain).angles
-    amp = sum(map(math.exp, log_bump(-theta).tolist()))
+    amp = _bump_amplitude(turn_angles_from_vertices(chain).angles)
     if amp == 0.0:
         return 0.0
     return amp * elliptic_energy(chain)
@@ -241,13 +247,12 @@ def energy_of_free_angles(free: np.ndarray, lengths: SideLengths) -> float:
     ``2*pi - sum(free)``.  On the closure manifold this agrees with
     :func:`modified_energy` of the rebuilt chain.
     """
-    chain, _ = vertices_from_turn_angles(lengths, np.append(free, 0.0))
-    verts = chain.vertices
-    theta_n = normalize_angle(TAU - float(np.sum(free)))
-    amp = sum(map(math.exp, log_bump(-np.append(free, theta_n)).tolist()))
+    coords = ReducedCoords(free)
+    chain, _ = coords.chain(lengths)
+    amp = _bump_amplitude(coords.full_angles())
     if amp == 0.0:
         return 0.0
-    return amp * _elliptic_value(verts, np.zeros(2))
+    return amp * _elliptic_value(chain.vertices, np.zeros(2))
 
 
 def energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> EnergyGradient:
@@ -259,7 +264,7 @@ def energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> EnergyGradie
     constraint.
     """
     chain, defect = coords.chain(lengths)
-    if defect > 1e-6 * lengths.perimeter:
+    if defect > CLOSURE_DATA_RTOL * lengths.perimeter:
         raise ValueError("coordinates are far off the closure manifold")
     if not embedded_mask(chain.vertices[None])[0]:
         raise ValueError("energy gradient requires an embedded configuration")

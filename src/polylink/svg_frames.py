@@ -21,13 +21,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".8g")
 
 
-def union_viewbox(frames: list[np.ndarray], pad_fraction: float = 0.05):
-    """Padded union bounding box of all frames as (x, y, w, h)."""
+def union_viewbox(frames: list[np.ndarray]):
+    """Union bounding box of all frames as (x, y, w, h), padded on every
+    side by 5 percent of its longer side."""
     allpts = np.vstack(frames)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = hi - lo
-    pad = pad_fraction * max(float(span.max()), 1e-9)
+    pad = 0.05 * float(span.max())
     return (
         float(lo[0] - pad),
         float(lo[1] - pad),

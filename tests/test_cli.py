@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import polylink as pl
 from polylink import flow
 from polylink.cli import main, render_json
+from polylink.svg_frames import union_viewbox
 
 from conftest import load_fixture_chain, random_embedded_ccw
 
@@ -225,6 +226,15 @@ class TestConvexify:
         assert math.isclose(w, hi[0] - lo[0] + 2 * pad, rel_tol=1e-6)
         assert math.isclose(h, hi[1] - lo[1] + 2 * pad, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_viewbox_pads_five_percent_at_any_scale(self, scale):
+        verts = load_fixture_chain("pentagon_nonconvex.json").vertices
+        box = union_viewbox([verts * scale])
+        extent = np.ptp(verts * scale, axis=0)
+        assert box[2] <= 1.2 * extent[0] and box[3] <= 1.2 * extent[1]
+        for got, want in zip(box, union_viewbox([verts])):
+            assert math.isclose(got, scale * want, rel_tol=1e-12)
+
     def test_max_iter_cutoff_exits_4(self, runner, tmp_path):
         f = str(FIXTURES / "pentagon_nonconvex.json")
         r = invoke(runner, ["convexify", f, "--max-iter", "1"])
@@ -339,6 +349,14 @@ class TestAtlas:
         assert out["generic"] is False
         assert ["+", "-", "+", "-"] in out["straight_line"]
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_2_usage_error(self, runner, tmp_path, grid):
+        f = write(tmp_path, "l.json", {"lengths": [1.0] * 5})
+        r = invoke(runner, ["atlas", f, "--k", "2", "--grid", grid])
+        assert r.exit_code == 2
+        assert "--grid" in r.output
+        assert "Traceback" not in r.output
+
     def test_output_file(self, runner, tmp_path):
         f = write(tmp_path, "l.json", {"lengths": [2, 2, 2, 1]})
         dest = tmp_path / "atlas.csv"
@@ -383,6 +401,13 @@ class TestDemoFigureEight:
         frames = list(svg.glob("frame_*.svg"))
         assert len(frames) >= 8
         assert (svg / "summary.svg").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_1_usage_error(self, runner, samples):
+        r = invoke(runner, ["demo-figure-eight", "--samples", samples])
+        assert r.exit_code == 2
+        assert "--samples" in r.output
+        assert "Traceback" not in r.output
 
     def test_coarse_sweep_same_booleans(self, runner):
         r = invoke(runner, ["demo-figure-eight", "--samples", "100"])

@@ -52,7 +52,6 @@ class TestStraightLineSignVectors:
     def test_6424_contains_alternating(self):
         rep = pl.straight_line_sign_vectors(pl.SideLengths([6, 4, 2, 4]))
         assert (1, -1, 1, -1) in rep.sign_vectors
-        assert rep.exact
 
     def test_2221_empty(self):
         rep = pl.straight_line_sign_vectors(pl.SideLengths([2, 2, 2, 1]))
@@ -380,14 +379,15 @@ _COLUMNS = ("free_indices", "branch", "angles", "winding", "convex_ccw")
 
 
 @pytest.mark.parametrize("n, grid", [(5, 60), (6, 14)])
-def test_sweep_columns_do_not_depend_on_chunk(n, grid):
+def test_sweep_columns_do_not_depend_on_chunk(n, grid, monkeypatch):
     lengths = random_generic_lengths(n, np.random.default_rng(30 + n), margin=0.05)
     want = pl.enumerate_configurations(lengths, grid)
     assert want.convex_ccw.any()
-    # sweep passes of chunk // 32 grid points (7, 1000, 1) end inside a
+    # sweep passes of CHUNK // 32 grid points (7, 1000, 1) end inside a
     # prefix's block of ``grid`` points; embeddedness passes differ too
     for chunk in (32 * 7, 32 * 1000, 5 * 7):
-        got = pl.enumerate_configurations(lengths, grid, chunk=chunk)
+        monkeypatch.setattr(config_space, "CHUNK", chunk)
+        got = pl.enumerate_configurations(lengths, grid)
         for key in _COLUMNS:
             have, col = getattr(got, key), getattr(want, key)
             assert have.dtype == col.dtype and have.shape == col.shape, key
@@ -424,14 +424,15 @@ class _CountingMask:
 def test_embeddedness_only_on_angle_candidates(monkeypatch):
     counter = _CountingMask()
     monkeypatch.setattr(config_space, "embedded_mask", counter)
+    monkeypatch.setattr(config_space, "CHUNK", 5 * 1000)
     lengths = pl.SideLengths([1.3, 1.0, 0.9, 1.2, 0.8])
-    s = pl.enumerate_configurations(lengths, 200, chunk=5 * 1000)
+    s = pl.enumerate_configurations(lengths, 200)
     cand = (np.abs(s.winding - TAU) <= config_space.WINDING_TOL) & (
         s.angles.min(axis=1) >= -config_space.CONVEX_ANGLE_SLACK
     )
     assert 0 < cand.sum() < len(s) // 10
     assert sum(counter.rows) == cand.sum()
-    # a pass tests chunk / (n(n-3)/2 edge pairs) = 1000 chains at most
+    # a pass tests CHUNK / (n(n-3)/2 edge pairs) = 1000 chains at most
     assert max(counter.rows) <= 1000
     counter.rows.clear()
     first = s.embedded

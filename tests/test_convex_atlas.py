@@ -253,8 +253,8 @@ def test_prefix_validation():
 # agree with them bit for bit.
 
 from polylink.chain_geometry import chain_vertices, circle_circle_intersection
+from polylink.config_space import CONVEX_ANGLE_SLACK
 from polylink.convex_atlas import (
-    ANGLE_SLACK,
     MAXIMAL,
     MINIMAL_CASE_A,
     MINIMAL_CASE_B,
@@ -270,7 +270,7 @@ def _ref_angles_ok(theta, skip=None):
     for i, t in enumerate(theta):
         if i == skip:
             continue
-        if t < -ANGLE_SLACK or t >= math.pi - ANGLE_SLACK:
+        if t < -CONVEX_ANGLE_SLACK or t >= math.pi - CONVEX_ANGLE_SLACK:
             return False
     return True
 
@@ -319,13 +319,13 @@ def ref_min_turn_angle(lengths, alpha):
         if not _ref_angles_ok(theta, skip=K - 1):
             continue
         t_k = float(theta[K - 1])
-        if t_k >= math.pi - ANGLE_SLACK:
+        if t_k >= math.pi - CONVEX_ANGLE_SLACK:
             continue
         if best is None or t_k < best[0] - TIE_TOL:
             best = (t_k, chain)
         elif abs(t_k - best[0]) <= TIE_TOL:
             tie = True
-    if best is not None and best[0] >= -ANGLE_SLACK:
+    if best is not None and best[0] >= -CONVEX_ANGLE_SLACK:
         return max(best[0], 0.0), pl.StretchedWitness(
             kind=MINIMAL_CASE_B, chain=best[1], theta_k=best[0], tie=tie
         )
@@ -528,6 +528,43 @@ def test_out_of_interval_prefix_same_error():
             first = want
         assert (type(got.value), str(got.value)) == first
     assert not pl.contains_prefix(lengths, [mu + 0.05])
+
+
+def _block_outcome(lengths, block):
+    """The error of ``_intervals`` on a block, or the bits of its nu and mu."""
+    got = _outcome(_intervals, lengths, np.array(block), False)
+    if isinstance(got[0], type):
+        return got
+    nu, _, mu, _ = got
+    return _bits(nu), _bits(mu)
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ([0.4, 0.3, -2 * CONVEX_ANGLE_SLACK], "prefix angles must lie in [0, pi)"),
+        ([0.4, math.pi, 0.3], "prefix angles must lie in [0, pi)"),
+        ([3.1, 3.1, 0.2], "prefix angles must not turn past 2*pi in total"),
+        ([0.4, 0.3, -0.5 * CONVEX_ANGLE_SLACK], None),  # noise within the slack
+    ],
+)
+def test_bad_prefix_same_message_everywhere(alpha, message):
+    lengths = pl.SideLengths([1.0] * 7)
+    good = pl.sample_atlas(lengths, 4, 2).rows[0].prefix
+    if message is None:  # accepted as its clamped value, alone or in a block
+        clamped = np.maximum(alpha, 0.0)
+        assert _bits(_as_prefix(alpha)) == _bits(clamped)
+        assert _bits(pl.AnglePrefix(clamped).alpha) == _bits(clamped)
+        assert _block_outcome(lengths, [good, alpha]) == _block_outcome(
+            lengths, [good, clamped]
+        )
+        return
+    want = (ValueError, message)
+    assert _outcome(pl.AnglePrefix, alpha) == want
+    assert _outcome(_as_prefix, alpha) == want
+    # the first failing row raises, not a later one that fails otherwise
+    other = [3.1, 3.1, 0.2] if "[0, pi)" in message else [0.4, -1.0, 0.3]
+    assert _block_outcome(lengths, [good, alpha, other]) == want
 
 
 @pytest.mark.parametrize("n, k, grid", [(5, 2, 7), (6, 3, 5), (7, 3, 6), (7, 4, 3)])
