@@ -284,8 +284,9 @@ def circle_circle_intersection(
 
     Returns zero, one (tangency), or two points.  With two points, the one
     on the left of the directed center line ``center1 -> center2`` comes
-    first.  Tangency is detected with relative tolerance ``TANGENT_RTOL``
-    against ``r1 + r2``.
+    first; the partial-angle reconstruction and the expansive
+    quadrilateral move pick their branch by this order alone.  Tangency is
+    detected with relative tolerance ``TANGENT_RTOL`` against ``r1 + r2``.
     """
     if r1 <= 0.0 or r2 <= 0.0:
         raise ValueError("circle radii must be positive")
@@ -335,12 +336,14 @@ def segment_intersection(seg1, seg2) -> SegmentRelation:
     open interiors cross in a single point; ``OVERLAP`` means the segments
     are collinear and share a sub-segment of positive length; any other
     single-point contact is an ``ENDPOINT_TOUCH``.  With ``s`` the largest
-    coordinate magnitude of the endpoints, orientations within
-    ``ORIENT_EPS * s**2`` count as zero and extents get ``ORIENT_EPS * s``.
+    coordinate difference within either segment (the per-chain scale of
+    :func:`embedded_mask`, taken per pair), a segment no longer than
+    ``1e-14 * s`` is degenerate, orientations within ``ORIENT_EPS * s**2``
+    count as zero and extents get ``ORIENT_EPS * s``; the answer does not
+    change under translation or power-of-two rescaling.
     """
-    pts = np.array([*seg1, *seg2], dtype=float)
-    p1, p2, q1, q2 = pts
-    scale = max(float(np.abs(pts).max()), 1e-300)
+    p1, p2, q1, q2 = np.array([*seg1, *seg2], dtype=float)
+    scale = max(float(np.abs(p2 - p1).max()), float(np.abs(q2 - q1).max()), 1e-300)
     if min(math.hypot(*(p2 - p1)), math.hypot(*(q2 - q1))) <= 1e-14 * scale:
         raise ValueError("degenerate (zero-length) segment")
     eps = ORIENT_EPS * scale * scale

@@ -19,6 +19,7 @@ appear in fixed order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -202,16 +203,7 @@ def _trace_json(trace, generic) -> dict:
         "reflected": trace.reflected,
         "generic": generic,
         "lengths": list(trace.lengths.lengths),
-        "records": [
-            {
-                "iteration": r.iteration,
-                "energy": r.energy,
-                "log_energy": r.log_energy,
-                "min_turn_angle": r.min_turn_angle,
-                "step_size": r.step_size,
-            }
-            for r in trace.records
-        ],
+        "records": [dataclasses.asdict(r) for r in trace.records],
         "snapshots": [
             {"step": s.step, "vertices": [list(v) for v in s.vertices]}
             for s in trace.snapshots
@@ -221,12 +213,12 @@ def _trace_json(trace, generic) -> dict:
 
 @main.command()
 @click.argument("polygon_file")
-@click.option("--step", type=float, default=1e-2, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@click.option("--max-iter", type=int, default=100_000, show_default=True)
+@click.option("--step", type=float, default=FlowParams.initial_step, show_default=True)
+@click.option("--tol", type=float, default=FlowParams.convexity_tol, show_default=True)
+@click.option("--max-iter", type=int, default=FlowParams.max_iterations, show_default=True)
 @click.option("--trace", "trace_path", type=str, default=None)
 @click.option("--svg", "svg_dir", type=str, default=None)
-@click.option("--stride", type=int, default=10, show_default=True)
+@click.option("--stride", type=int, default=FlowParams.snapshot_stride, show_default=True)
 def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
     """Convexify an embedded polygon by energy descent."""
     chain, _ = _load_polygon(polygon_file)
@@ -318,7 +310,7 @@ def _write_atlas(lengths, k, grid, fmt, output):
 @main.command()
 @click.argument("lengths_file")
 @click.option("--k", type=int, required=True)
-@click.option("--grid", type=int, default=100, show_default=True)
+@click.option("--grid", type=click.IntRange(min=2), default=100, show_default=True)
 @click.option("--out", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--output", type=str, default="-", show_default=True)
@@ -336,8 +328,6 @@ def atlas(lengths_file, k, grid, fmt, output):
         sys.exit(EXIT_LENGTHS)
     if not 1 <= k <= lengths.n - 3:
         raise click.UsageError(f"--k must lie in 1..{lengths.n - 3} for n = {lengths.n}")
-    if k > 1 and grid < 2:
-        raise click.UsageError("--grid must be >= 2 to sample levels past 1")
 
     _write_atlas(lengths, k, grid, fmt, output)
     sys.exit(EXIT_OK)

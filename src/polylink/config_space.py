@@ -71,9 +71,10 @@ def classify(chain: PolygonChain) -> ConfigClass:
     A chain is embedded when no two non-adjacent edges touch at all and no
     adjacent pair folds back onto itself (collinear overlap).  This is
     :func:`~polylink.chain_geometry.embedded_mask` on a batch of one, so
-    the tolerance is per chain: orientation signs within ``ORIENT_EPS``
-    times the squared largest absolute coordinate count as zero, exactly
-    as in :func:`enumerate_configurations`.  Convexity additionally
+    the tolerance is per chain: orientation signs within ``ORIENT_EPS *
+    s**2``, ``s`` the chain's longest edge (its largest coordinate
+    difference), count as zero, exactly as in
+    :func:`enumerate_configurations`.  Convexity additionally
     requires counterclockwise winding and no negative turn angle beyond a
     small slack.
     """
@@ -643,19 +644,8 @@ def reconstruct_from_partial_angles(
     if len(points) == 1:
         # tangent junction: the triple is collinear, no orientation picks a side
         raise ClosureError("ambiguous tangency: junction orientation undefined")
-    chosen = None
-    for pt in points:
-        # cross(v_r - v_q, v_s - v_q): positive for a counterclockwise triple
-        cr = (pt[0] - pos[q][0]) * (pos[s][1] - pos[q][1]) - (
-            pt[1] - pos[q][1]
-        ) * (pos[s][0] - pos[q][0])
-        sign = 1 if cr > 0 else (-1 if cr < 0 else 0)
-        if sign == orientation:
-            chosen = np.asarray(pt)
-            break
-    if chosen is None:
-        raise ClosureError("no junction placement matches the requested orientation")
-    pos[r] = chosen
+    # the left branch of v_q -> v_s comes first and makes (v_q, v_r, v_s) clockwise
+    pos[r] = points[(1 + orientation) // 2]
 
     for (a, b, local) in ((q, r, mid1), (r, s, mid2)):
         chord = pos[b] - pos[a]

@@ -66,11 +66,10 @@ class AnglePrefix:
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.alpha, dtype=float)).reshape(-1)
-        error = _prefix_errors(arr[None])[0]
-        if error is not None:
-            raise error
-        object.__setattr__(self, "alpha", arr)
+        rows, errors = _as_prefix_rows(np.asarray(self.alpha, dtype=float).reshape(1, -1))
+        if errors[0] is not None:
+            raise errors[0]
+        object.__setattr__(self, "alpha", rows[0])
 
     def __len__(self) -> int:
         return int(self.alpha.size)
@@ -120,13 +119,8 @@ def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def _as_prefix(alpha) -> np.ndarray:
-    """:func:`_as_prefix_rows` of one prefix, raising its error."""
-    if isinstance(alpha, AnglePrefix):
-        return alpha.alpha
-    rows, errors = _as_prefix_rows(np.asarray(alpha, dtype=float).reshape(1, -1))
-    if errors[0] is not None:
-        raise errors[0]
-    return rows[0]
+    """The angles of one prefix as :class:`AnglePrefix` stores them."""
+    return (alpha if isinstance(alpha, AnglePrefix) else AnglePrefix(alpha)).alpha
 
 
 def _convex(theta: np.ndarray) -> np.ndarray:
@@ -250,7 +244,6 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
             "prefix endpoint cannot reach closure even with a straight tail"
         )
     points, count = _circle_points(pk, r1, np.zeros(2), tail)
-    count[d < tail - r1 - tol] = 0  # tail too long: no candidate
     span = _hypot(points[..., 0], points[..., 1])
     built = (np.arange(2) < count[:, None]) & ~(span <= 0.0)
     u = -points / np.where(built, span, 1.0)[..., None]
@@ -469,20 +462,15 @@ def quadrilateral_expansive_step(quad, delta: float) -> np.ndarray:
     u = (v3 - v1) / diag
     v3n = v1 + new_diag * u
 
-    def cross2(p, q):
-        return p[0] * q[1] - p[1] * q[0]
-
     def reposition(v, r_near, r_far):
-        side = np.sign(cross2(v3 - v1, v - v1))
         points = circle_circle_intersection(v1, r_near, v3n, r_far)
         if not points:
             raise ValueError("motion blocked: sides cannot re-close")
-        for pt in points:
-            pt = np.asarray(pt)
-            s = np.sign(cross2(v3n - v1, pt - v1))
-            if s == side or s == 0.0:
-                return pt
-        return np.asarray(points[0])
+        # v1 -> v3n points along v1 -> v3, so the left branch (listed first)
+        # is the side of a vertex left of the old diagonal
+        e, w = v3 - v1, v - v1
+        left = e[0] * w[1] - e[1] * w[0] > 0.0
+        return np.asarray(points[0] if left else points[-1])
 
     v2n = reposition(v2, a, b)
     v4n = reposition(v4, d, c)

@@ -231,12 +231,14 @@ def _swing_gradient(verts: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
 
 def min_norm_correction(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The shortest d with ``jac @ d = r``: ``jac.T (jac jac.T)^-1 r``, by
-    the 2x2 normal equations of the closure Jacobian."""
+    the normal equations of ``jac``'s rows (two for the closure Jacobian,
+    one more where the wall slide adds a barrier gradient)."""
     return jac.T @ np.linalg.solve(jac @ jac.T, r)
 
 
 def project_tangent(grad: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Remove the closure-normal component of ``grad``."""
+    """Remove from ``grad`` its component in the span of ``jac``'s rows
+    (the closure normals)."""
     return grad - min_norm_correction(jac, jac @ grad)
 
 
@@ -340,13 +342,11 @@ def log_energy_gradient(
     already built by the caller (the closure projection builds it at its
     last Newton check); it is used instead of building it again.
     """
-    free = coords.free_angles
     n = coords.n
     if chain is None:
         chain, _ = coords.chain(lengths)
     verts = chain.vertices
-    theta_n = coords.dependent_angle()
-    full = np.append(free, theta_n)
+    full = coords.full_angles()
 
     x = -full  # bump arguments
     logs = log_bump(x)

@@ -151,6 +151,15 @@ def project_to_closure(
     )
 
 
+def _unit(d: np.ndarray, floor: float) -> np.ndarray | None:
+    """``d`` scaled to unit length, or ``None`` unless its norm is finite
+    and above ``floor``."""
+    norm = float(np.linalg.norm(d))
+    if not (math.isfinite(norm) and norm > floor):
+        return None
+    return d / norm
+
+
 def _balanced_lift_direction(le) -> np.ndarray | None:
     """Raise every reflex angle at the same rate, tangent to closure.
 
@@ -164,11 +173,7 @@ def _balanced_lift_direction(le) -> np.ndarray | None:
     if not mask.any():
         return None
     g = mask[:-1].astype(float) - (1.0 if mask[-1] else 0.0)
-    d = project_tangent(g, le.jacobian)
-    norm = float(np.linalg.norm(d))
-    if not math.isfinite(norm) or norm < 1e-9:
-        return None
-    return d / norm
+    return _unit(project_tangent(g, le.jacobian), 1e-9)
 
 
 def _wall_sliding_direction(le) -> np.ndarray | None:
@@ -182,19 +187,11 @@ def _wall_sliding_direction(le) -> np.ndarray | None:
     while still strictly decreasing the energy to first order.
     """
     g_f = le.gradient - le.bump_gradient  # gradient of log F alone
-    rows = np.vstack((le.jacobian, g_f))
-    gram = rows @ rows.T
     try:
-        lam = np.linalg.solve(gram, rows @ le.gradient)
+        d = -project_tangent(le.gradient, np.vstack((le.jacobian, g_f)))
     except np.linalg.LinAlgError:
         return None
-    d = -(le.gradient - rows.T @ lam)
-    norm = float(np.linalg.norm(d))
-    if not math.isfinite(norm) or norm < 1e-12 * max(
-        1.0, float(np.linalg.norm(le.gradient))
-    ):
-        return None
-    return d / norm
+    return _unit(d, 1e-12 * max(1.0, float(np.linalg.norm(le.gradient))))
 
 
 def _evaluate(free, lengths):
@@ -394,19 +391,17 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
     def lower(log_value):  # strict descent from the current iterate
         return log_value < le.log_value
 
+    def converged():
+        return le.min_turn_angle >= -params.convexity_tol
+
     step = params.initial_step
     accepted = 0
     last_snap = 0
-    for _ in range(params.max_iterations):
-        if le.min_turn_angle >= -params.convexity_tol:
-            trace.status = CONVERGED
-            break
-        direction = le.projected_gradient
-        norm = float(np.linalg.norm(direction))
-        if not math.isfinite(norm) or norm == 0.0:
+    while not converged() and accepted < params.max_iterations:
+        direction = _unit(-le.projected_gradient, 0.0)
+        if direction is None:
             trace.status = STALLED
             break
-        direction = -direction / norm
 
         # stage 1: the projected gradient direction, a handful of halvings
         step = min(step / BACKTRACK, params.initial_step)
@@ -443,13 +438,8 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         if accepted % params.snapshot_stride == 0:
             trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
             last_snap = accepted
-    else:
-        # budget exhausted; the last step may still have reached convexity
-        trace.status = (
-            CONVERGED
-            if le.min_turn_angle >= -params.convexity_tol
-            else MAX_ITERATIONS
-        )
+    if converged():  # a stall leaves the iterate short of convexity
+        trace.status = CONVERGED
 
     if accepted != last_snap:
         trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
@@ -478,9 +468,8 @@ def reverse_flow_step(
     lengths, free, le, cert = _start(chain)
     if le.log_value == -math.inf:
         raise ValueError("zero gradient: no ascent direction from a convex interior")
-    direction = le.projected_gradient
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
+    direction = _unit(le.projected_gradient, 0.0)
+    if direction is None:
         raise ValueError("zero gradient: no ascent direction")
     if energy_cap is None:
         log_cap = math.inf
@@ -493,7 +482,7 @@ def reverse_flow_step(
         return le.log_value < log_value <= log_cap
 
     hit = _line_search(
-        free, direction / norm, params.initial_step, MIN_STEP, higher, lengths, cert
+        free, direction, params.initial_step, MIN_STEP, higher, lengths, cert
     )
     if hit is None:
         raise ValueError("no acceptable ascent step above the step floor")

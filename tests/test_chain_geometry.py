@@ -11,6 +11,7 @@ from conftest import random_closed_chain
 TAU = 2.0 * math.pi
 # lengths of any unit: a relation or a check must not change under rescaling
 SCALES = (1e-9, 1.0, 1e9)
+OFFSETS = ((1024, -512), (1e6, 0), (3e7, -1e7))
 
 
 class TestVerticesFromTurnAngles:
@@ -142,18 +143,23 @@ class TestCircleIntersection:
             r1, r2 = rng.uniform(0.1, 3.0, 2)
             if np.hypot(*(c2 - c1)) < 1e-6:
                 continue
-            for pt in pl.circle_circle_intersection(c1, r1, c2, r2):
+            points = pl.circle_circle_intersection(c1, r1, c2, r2)
+            for pt in points:
                 tol = 1e-9 * max(r1, r2)
                 assert abs(np.hypot(*(np.array(pt) - c1)) - r1) < tol
                 assert abs(np.hypot(*(np.array(pt) - c2)) - r2) < tol
+            if len(points) == 2:
+                # left of the directed center line c1 -> c2 first, then right
+                (dx, dy), (p0, p1) = c2 - c1, np.subtract(points, c1)
+                assert dx * p0[1] - dy * p0[0] > 0.0 > dx * p1[1] - dy * p1[0]
 
 
 def _relation(seg1, seg2):
-    """How two segments meet, asserted the same at every scale in SCALES."""
-    rels = {
-        pl.segment_intersection(np.multiply(seg1, s), np.multiply(seg2, s))
-        for s in SCALES
-    }
+    """How two segments meet, asserted the same at every scale in SCALES
+    and moved by every offset in OFFSETS."""
+    pairs = [(np.multiply(seg1, s), np.multiply(seg2, s)) for s in SCALES]
+    pairs += [(np.add(seg1, t), np.add(seg2, t)) for t in OFFSETS]
+    rels = {pl.segment_intersection(*pair) for pair in pairs}
     assert len(rels) == 1, rels
     return rels.pop()
 
@@ -188,10 +194,18 @@ class TestSegmentIntersection:
         rel = _relation(((0, 0), (1, 0)), ((1, 0), (2, 0)))
         assert rel is pl.SegmentRelation.ENDPOINT_TOUCH
 
+    def test_parallel_segments_apart_are_disjoint(self):
+        rel = _relation(((0, 0), (1, 0)), ((0, 0.5), (1, 0.5)))
+        assert rel is pl.SegmentRelation.DISJOINT
+
     def test_degenerate_segment(self):
         for s in SCALES:
             with pytest.raises(ValueError, match="degenerate"):
                 pl.segment_intersection(((0, 0), (0, 0)), ((s, 0), (s, s)))
+        for t in OFFSETS:
+            seg1, seg2 = np.add(((0, 0), (0, 0)), t), np.add(((1, 0), (1, 1)), t)
+            with pytest.raises(ValueError, match="degenerate"):
+                pl.segment_intersection(seg1, seg2)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))

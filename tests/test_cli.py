@@ -349,10 +349,20 @@ class TestAtlas:
         assert out["generic"] is False
         assert ["+", "-", "+", "-"] in out["straight_line"]
 
-    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
-    def test_grid_below_2_usage_error(self, runner, tmp_path, grid):
+    @pytest.mark.parametrize(
+        "k, grid",
+        [
+            pytest.param("2", "1", id="1"),
+            pytest.param("2", "0", id="0"),
+            pytest.param("2", "-3", id="-3"),
+            # level 1 uses no grid, but a grid no run can use is still refused
+            pytest.param("1", "-3", id="k1--3"),
+            pytest.param("1", "1", id="k1-1"),
+        ],
+    )
+    def test_grid_below_2_usage_error(self, runner, tmp_path, k, grid):
         f = write(tmp_path, "l.json", {"lengths": [1.0] * 5})
-        r = invoke(runner, ["atlas", f, "--k", "2", "--grid", grid])
+        r = invoke(runner, ["atlas", f, "--k", k, "--grid", grid])
         assert r.exit_code == 2
         assert "--grid" in r.output
         assert "Traceback" not in r.output

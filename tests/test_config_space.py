@@ -167,17 +167,27 @@ class TestReconstructFromPartialAngles:
             theta = pl.turn_angles_from_vertices(chain)
             q, r, s = pl.choose_qrs(theta)
             v = chain.vertices
-            cr = (v[r, 0] - v[q, 0]) * (v[s, 1] - v[q, 1]) - (
-                v[r, 1] - v[q, 1]
-            ) * (v[s, 0] - v[q, 0])
             partial = {
                 i: float(theta.angles[i]) for i in range(n) if i not in (q, r, s)
             }
-            rec = pl.reconstruct_from_partial_angles(
-                chain.side_lengths(), partial, q, r, s, 1 if cr > 0 else -1
-            )
-            worst = max(worst, float(np.max(np.abs(rec.vertices - v))))
+            orientation = _orientation(v, q, r, s)
+            for asked in (orientation, -orientation):
+                rec = pl.reconstruct_from_partial_angles(
+                    chain.side_lengths(), partial, q, r, s, asked
+                )
+                # the junction lands on the side the orientation asks for
+                assert _orientation(rec.vertices, q, r, s) == asked
+                if asked == orientation:
+                    worst = max(worst, float(np.max(np.abs(rec.vertices - v))))
         assert worst < 1e-9
+
+
+def _orientation(v, q, r, s):
+    """Sign of cross(v_r - v_q, v_s - v_q), +1 for a counterclockwise triple."""
+    cr = (v[r, 0] - v[q, 0]) * (v[s, 1] - v[q, 1]) - (v[r, 1] - v[q, 1]) * (
+        v[s, 0] - v[q, 0]
+    )
+    return int(np.sign(cr))
 
 
 def test_choose_qrs_picks_largest_angles():

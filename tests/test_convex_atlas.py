@@ -84,6 +84,13 @@ class TestContainsPrefix:
         assert not pl.contains_prefix(lengths, [2.0])
 
 
+def _diagonal_sides(quad):
+    """Signs of cross(v3 - v1, v - v1) for v = v2 and v4."""
+    v1, v2, v3, v4 = quad
+    e = v3 - v1
+    return [int(np.sign(e[0] * (v[1] - v1[1]) - e[1] * (v[0] - v1[0]))) for v in (v2, v4)]
+
+
 class TestQuadrilateralExpansiveStep:
     square = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -131,8 +138,12 @@ class TestQuadrilateralExpansiveStep:
             prev = pl.turn_angles_from_vertices(pl.PolygonChain(cur)).angles
             first = prev.copy()
             sides0 = pl.PolygonChain(cur).edge_lengths()
+            sides = _diagonal_sides(cur)
+            assert sides == [-1, 1]  # a CCW quad has v2 right of v1 -> v3
             for _ in range(100):
                 cur = pl.quadrilateral_expansive_step(cur, step)
+                # v2 and v4 stay on their own sides of the diagonal v1 -> v3
+                assert _diagonal_sides(cur) == sides
                 theta = pl.turn_angles_from_vertices(pl.PolygonChain(cur)).angles
                 assert theta[0] >= prev[0] - 1e-12
                 assert theta[2] >= prev[2] - 1e-12
@@ -554,7 +565,7 @@ def test_bad_prefix_same_message_everywhere(alpha, message):
     if message is None:  # accepted as its clamped value, alone or in a block
         clamped = np.maximum(alpha, 0.0)
         assert _bits(_as_prefix(alpha)) == _bits(clamped)
-        assert _bits(pl.AnglePrefix(clamped).alpha) == _bits(clamped)
+        assert _bits(pl.AnglePrefix(alpha).alpha) == _bits(clamped)
         assert _block_outcome(lengths, [good, alpha]) == _block_outcome(
             lengths, [good, clamped]
         )

@@ -111,6 +111,15 @@ class TestConvexify:
         assert trace.status == pl.MAX_ITERATIONS
         assert trace.accepted_steps <= 2
 
+    @pytest.mark.parametrize(
+        "budget, status", [(111, pl.MAX_ITERATIONS), (112, pl.CONVERGED)]
+    )
+    def test_budget_boundary(self, pentagon_fixture, budget, status):
+        # the fixture converges on its 112th step: a budget of exactly 112
+        # still reports convergence, one step less does not
+        trace = pl.convexify(pentagon_fixture, pl.FlowParams(max_iterations=budget))
+        assert (trace.status, trace.accepted_steps) == (status, budget)
+
     def test_deterministic(self, pentagon_fixture):
         t1 = pl.convexify(pentagon_fixture)
         t2 = pl.convexify(pentagon_fixture)
