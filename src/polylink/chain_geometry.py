@@ -73,9 +73,6 @@ class SideLengths:
     def perimeter(self) -> float:
         return float(self.lengths.sum())
 
-    def __iter__(self):
-        return iter(self.lengths)
-
 
 @dataclass(frozen=True, eq=False)
 class TurnAngles:
@@ -99,9 +96,6 @@ class TurnAngles:
     def winding(self) -> float:
         """Total turning; an integer multiple of 2*pi for a closed polygon."""
         return float(self.angles.sum())
-
-    def __iter__(self):
-        return iter(self.angles)
 
 
 @dataclass(frozen=True, eq=False)

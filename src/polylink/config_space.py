@@ -267,37 +267,25 @@ def closures_for_free_angles(
     return chains
 
 
-@dataclass(frozen=True)
-class ConfigRecord:
-    """One sampled configuration, fully materialized."""
-
-    free_values: np.ndarray
-    branch: int
-    angles: TurnAngles
-    chain: PolygonChain
-    config_class: ConfigClass
-
-
 @dataclass(eq=False)
 class ConfigSampleSet:
     """Brute-force sample of the configuration space on a free-angle grid.
 
-    Stored column-wise for memory economy at fine grids; use
-    :meth:`config` to materialize one sample (vertices are rebuilt from
-    the stored turn angles).  Samples appear in grid-major, branch-minor
-    order.  ``free_indices``, ``branch``, ``angles``, ``winding`` and
-    ``convex_ccw`` are computed by :func:`enumerate_configurations`,
-    which allocates each column once at its final size and fills it pass
-    by pass: turn angles ``0 .. n-5`` once per prefix of the first
-    ``n - 4`` free angles, angle ``n - 4`` once per grid point, angles
-    ``n-3 .. n-1``, winding and convexity per row.  The sweep's memory
-    is this result plus 16 bytes per grid point.  ``embedded`` is
-    computed from the stored angles when first read, in passes that
-    ``CHUNK`` bounds, and then kept.
+    Stored column-wise for memory economy at fine grids; :meth:`chain`
+    rebuilds the vertices of one sample from its stored turn angles.
+    Samples appear in grid-major, branch-minor order.  ``free_indices``,
+    ``branch``, ``angles``, ``winding`` and ``convex_ccw`` are computed
+    by :func:`enumerate_configurations`, which allocates each column once
+    at its final size and fills it pass by pass: turn angles
+    ``0 .. n-5`` once per prefix of the first ``n - 4`` free angles,
+    angle ``n - 4`` once per grid point, angles ``n-3 .. n-1``, winding
+    and convexity per row.  The sweep's memory is this result plus 16
+    bytes per grid point.  ``embedded`` is computed from the stored
+    angles when first read, in passes that ``CHUNK`` bounds, and then
+    kept.
     """
 
     lengths: SideLengths
-    grid_per_angle: int
     free_indices: np.ndarray  # (M, n-3) int32, grid index per free angle
     branch: np.ndarray  # (M,) int8
     angles: np.ndarray  # (M, n) float
@@ -312,31 +300,9 @@ class ConfigSampleSet:
         """(M,) bool: embeddedness of every stored configuration."""
         return _embedded_rows(self.lengths.lengths, self.angles)
 
-    def free_values(self, i: int) -> np.ndarray:
-        n3 = self.free_indices.shape[1]
-        return self.angles[i, :n3].copy()
-
     def chain(self, i: int) -> PolygonChain:
         chain, _ = vertices_from_turn_angles(self.lengths, self.angles[i])
         return chain
-
-    def config(self, i: int) -> ConfigRecord:
-        if "embedded" in self.__dict__:
-            embedded = bool(self.embedded[i])
-        else:  # one row: the tolerance is per chain, so the answer is the same
-            row = _embedded_rows(self.lengths.lengths, self.angles[[i]])
-            embedded = bool(row[0])
-        return ConfigRecord(
-            free_values=self.free_values(i),
-            branch=int(self.branch[i]),
-            angles=TurnAngles(self.angles[i].copy()),
-            chain=self.chain(i),
-            config_class=ConfigClass(
-                embedded=embedded,
-                winding=float(self.winding[i]),
-                convex_ccw=bool(self.convex_ccw[i]),
-            ),
-        )
 
 
 def _embedded_rows(ell: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -561,7 +527,6 @@ def enumerate_configurations(
 
     return ConfigSampleSet(
         lengths=lengths,
-        grid_per_angle=grid_per_angle,
         free_indices=free_indices,
         branch=branch,
         angles=angles,

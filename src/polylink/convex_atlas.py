@@ -83,15 +83,12 @@ class StretchedWitness:
     witnesses, ``j`` counts the edges from the frame corner through the
     end of the straight run leaving the prefix: the run covers edges
     ``K..j-1`` and its terminal vertex is ``chain.vertices[j-1]``.
-    ``tie`` flags borderline cases where several candidates attained the
-    endpoint within tolerance.
     """
 
     kind: str
     chain: PolygonChain
     theta_k: float
     j: int | None = None
-    tie: bool = False
 
 
 def _prefix_errors(rows: np.ndarray) -> list:
@@ -185,30 +182,24 @@ def _circle_points(c1: np.ndarray, r1, c2: np.ndarray, r2):
     return points, np.where(meet, np.where(single, 1, 2), 0)
 
 
-def _pick(theta_k: np.ndarray, ok: np.ndarray, maximize: bool, runs=None):
+def _pick(theta_k: np.ndarray, ok: np.ndarray, maximize: bool):
     """Best candidate per row by a scan over the candidate axis.
 
     A later candidate replaces the best only when it is better by more
-    than ``TIE_TOL``; one within ``TIE_TOL`` of the best sets ``tie``
-    (for the maximum only when its straight run ``runs[c]`` differs from
-    the best one's).  Returns the best value, its candidate index (-1
-    when no candidate is ``ok``) and the tie flags.
+    than ``TIE_TOL``, so of candidates within ``TIE_TOL`` of each other
+    the first wins.  Returns the best value and its candidate index (-1
+    when no candidate is ``ok``).
     """
     P, C = theta_k.shape
     best = np.zeros(P)
     arg = np.full(P, -1)
-    tie = np.zeros(P, dtype=bool)
     for c in range(C):
-        t, has = theta_k[:, c], arg >= 0
+        t = theta_k[:, c]
         beats = t > best + TIE_TOL if maximize else t < best - TIE_TOL
-        better = ok[:, c] & (~has | beats)
-        near = ok[:, c] & has & ~better & (np.abs(t - best) <= TIE_TOL)
-        if runs is not None:
-            near &= runs[c] != runs[np.maximum(arg, 0)]
-        tie |= near
+        better = ok[:, c] & ((arg < 0) | beats)
         best = np.where(better, t, best)
         arg = np.where(better, c, arg)
-    return best, arg, tie
+    return best, arg
 
 
 def _no_tail(P: int) -> list:
@@ -259,7 +250,7 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     convex = _convex(theta)
     convex[..., K - 1] = ~(theta_k >= math.pi - CONVEX_ANGLE_SLACK)  # may be negative
     ok = built & convex.all(axis=-1)
-    best, arg, tie = _pick(theta_k, ok, maximize=False)
+    best, arg = _pick(theta_k, ok, maximize=False)
 
     for r in np.flatnonzero((built & degenerate).any(axis=1)):
         if errors[r] is None:
@@ -273,7 +264,6 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
                 kind=MINIMAL_CASE_B,
                 chain=PolygonChain(verts[r, arg[r]].copy()),
                 theta_k=float(best[r]),
-                tie=bool(tie[r]),
             )
 
     # case (a): some convex completion is flat here; witness by pinning 0
@@ -336,7 +326,7 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
             block[:, :, J + 1 : n - 1, 1] = 0.0
     theta, degenerate = turn_angle_array(verts)
     ok = built & _convex(theta).all(axis=-1)
-    best, arg, tie = _pick(theta[..., K - 1], ok, maximize=True, runs=runs)
+    best, arg = _pick(theta[..., K - 1], ok, maximize=True)
 
     zero_edge = (built & degenerate).any(axis=1)
     for r in range(P):
@@ -355,7 +345,6 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
                     chain=PolygonChain(verts[r, arg[r]].copy()),
                     theta_k=float(best[r]),
                     j=int(runs[arg[r]]),
-                    tie=bool(tie[r]),
                 )
     return mu, found, errors
 
@@ -440,7 +429,7 @@ def quadrilateral_expansive_step(quad, delta: float) -> np.ndarray:
     quad = np.asarray(quad, dtype=float)
     if quad.shape != (4, 2):
         raise ValueError("expected four planar vertices")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError("delta must be nonnegative")
     theta = turn_angles_from_vertices(PolygonChain(quad)).angles
     if theta.min() <= 0.0 or theta.max() >= math.pi:
@@ -493,8 +482,6 @@ class AtlasSample:
     """Grid sample of the level-k atlas of convex prefixes."""
 
     lengths: SideLengths
-    k: int
-    grid: int
     rows: list[AtlasRow]
 
     def __len__(self) -> int:
@@ -527,8 +514,8 @@ def sample_atlas(lengths: SideLengths, k: int, grid: int) -> AtlasSample:
     """
     _require_generic(lengths)
     _level_bounds(lengths, k)
-    if grid < 2 and k > 1:
-        raise ValueError("grid must be >= 2 to sample intermediate levels")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
 
     def blocks(prefixes):
         return (prefixes[s : s + BLOCK] for s in range(0, len(prefixes), BLOCK))
@@ -548,4 +535,4 @@ def sample_atlas(lengths: SideLengths, k: int, grid: int) -> AtlasSample:
             AtlasRow(prefix=alpha, nu=float(a), mu=float(b), witness_min=w0, witness_max=w1)
             for alpha, a, b, w0, w1 in zip(block, nu, mu, wmin, wmax)
         ]
-    return AtlasSample(lengths=lengths, k=k, grid=grid, rows=rows)
+    return AtlasSample(lengths=lengths, rows=rows)

@@ -58,23 +58,6 @@ def log_bump(x):
     return out if out.ndim else float(out)
 
 
-def bump(x: float) -> float:
-    """Smooth bump: 0 for x <= 0, exp(-1/x^2) for x > 0.
-
-    In doubles it is exactly 0.0 below about ``x = 0.0366``.
-    """
-    return math.exp(log_bump(x))
-
-
-def bump_derivative(x: float) -> float:
-    """da/dx of :func:`bump`, analytically (2/x^3) exp(-1/x^2); 0.0 wherever
-    the bump is."""
-    b = bump(x)
-    if b == 0.0:
-        return 0.0
-    return 2.0 / (x * x * x) * b
-
-
 @lru_cache(maxsize=64)
 def _pair_mask(n: int) -> np.ndarray:
     """(n, n) mask of the (edge i, vertex j) pairs in the energy sum: every
@@ -319,7 +302,6 @@ class LogEnergy:
     gradient: np.ndarray  # of log E, full
     projected_gradient: np.ndarray
     bump_gradient: np.ndarray
-    elliptic: float
     min_turn_angle: float
     chain: PolygonChain
     full_angles: np.ndarray
@@ -357,8 +339,7 @@ def log_energy_gradient(
     if log_amp == -math.inf:
         zero = np.zeros(n - 1)
         return LogEnergy(
-            -math.inf, zero, zero, zero, F, float(full.min()), chain, full, jac,
-            min_den,
+            -math.inf, zero, zero, zero, float(full.min()), chain, full, jac, min_den
         )
 
     # softmax weights of the active bumps times their log-derivatives 2/x^3,
@@ -372,7 +353,6 @@ def log_energy_gradient(
         gradient=grad,
         projected_gradient=project_tangent(grad, jac),
         bump_gradient=d_log_amp,
-        elliptic=F,
         min_turn_angle=float(full.min()),
         chain=chain,
         full_angles=full,

@@ -82,6 +82,8 @@ class FlowParams:
 
     def __post_init__(self):
         for name in ("initial_step", "convexity_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iterations < 1 or self.snapshot_stride < 1:
@@ -117,10 +119,6 @@ class FlowTrace:
     @property
     def accepted_steps(self) -> int:
         return len(self.records) - 1
-
-    @property
-    def final_chain(self) -> PolygonChain:
-        return PolygonChain(self.snapshots[-1].vertices)
 
 
 def project_to_closure(

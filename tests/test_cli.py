@@ -275,6 +275,10 @@ class TestConvexify:
         [
             ("--step", "-1", "initial_step must be positive"),
             ("--tol", "0", "convexity_tol must be positive"),
+            ("--step", "inf", "initial_step must be finite"),
+            ("--step", "nan", "initial_step must be finite"),
+            ("--tol", "inf", "convexity_tol must be finite"),
+            ("--tol", "nan", "convexity_tol must be finite"),
             ("--max-iter", "0", "iteration counts must be >= 1"),
             ("--stride", "0", "iteration counts must be >= 1"),
         ],

@@ -237,10 +237,9 @@ class TestEnumerateConfigurations:
         s = pl.enumerate_configurations(pl.SideLengths([2, 2, 2, 1]), 360)
         rng = np.random.default_rng(3)
         for i in rng.integers(0, len(s), 60):
-            rec = s.config(int(i))
-            cls = pl.classify(rec.chain)
-            assert cls.embedded == rec.config_class.embedded
-            assert abs(cls.winding - rec.config_class.winding) < 1e-9
+            cls = pl.classify(s.chain(int(i)))
+            assert cls.embedded == s.embedded[i]
+            assert abs(cls.winding - s.winding[i]) < 1e-9
 
     def test_stored_configs_close_and_realize(self):
         lengths = pl.SideLengths([2, 2, 2, 1])
@@ -450,24 +449,6 @@ def test_embeddedness_only_on_angle_candidates(monkeypatch):
     counter.rows.clear()
     assert s.embedded is first and counter.rows == []  # computed once
     assert np.array_equal(s.convex_ccw, first & cand)
-
-
-def test_config_classifies_one_row(monkeypatch):
-    counter = _CountingMask()
-    monkeypatch.setattr(config_space, "embedded_mask", counter)
-    s = pl.enumerate_configurations(pl.SideLengths([6, 4, 2, 4]), 3600)
-    # the one fold: every turn angle is +-pi
-    fold = int(np.argmax(np.abs(s.angles).min(axis=1)))
-    counter.rows.clear()
-    rec = s.config(fold)
-    assert counter.rows == [1] and rec.config_class.embedded is False
-    assert not pl.classify(rec.chain).embedded
-    assert "embedded" not in vars(s)  # the column was not computed
-    assert s.config((fold + 1) % len(s)).config_class.embedded is True
-    assert int(s.embedded.sum()) == len(s) - 1
-    # once the column exists, config reads it
-    counter.rows.clear()
-    assert s.config(fold).config_class.embedded is False and counter.rows == []
 
 
 def test_closures_for_free_angles_branches():

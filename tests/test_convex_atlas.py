@@ -115,6 +115,11 @@ class TestQuadrilateralExpansiveStep:
         with pytest.raises(ValueError, match="blocked"):
             pl.quadrilateral_expansive_step(self.square, 1.0)
 
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_negative_or_nan_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            pl.quadrilateral_expansive_step(self.square, delta)
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0])
     def test_blocked_just_past_the_flat_limit_at_any_scale(self, scale):
         # the diagonal would grow to 1 + 5e-7 times its flat-state length 2
@@ -193,6 +198,11 @@ class TestSampleAtlas:
     def test_level_out_of_range(self):
         with pytest.raises(ValueError, match="level"):
             pl.sample_atlas(pl.SideLengths([2, 2, 2, 1]), 2, 10)
+
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_level1_grid_below_2_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            pl.sample_atlas(pl.SideLengths([1.0] * 5), 1, grid)
 
 
 def test_lemma3_interior_widths_positive():
@@ -324,7 +334,7 @@ def ref_min_turn_angle(lengths, alpha):
     K = alpha.size + 1
     if K > lengths.n - 2:
         raise PrefixError("no free tail left to stretch at this level")
-    best, tie = None, False
+    best = None
     for chain in _ref_min_candidates(lengths.lengths, alpha):
         theta = pl.turn_angles_from_vertices(chain).angles
         if not _ref_angles_ok(theta, skip=K - 1):
@@ -334,11 +344,9 @@ def ref_min_turn_angle(lengths, alpha):
             continue
         if best is None or t_k < best[0] - TIE_TOL:
             best = (t_k, chain)
-        elif abs(t_k - best[0]) <= TIE_TOL:
-            tie = True
     if best is not None and best[0] >= -CONVEX_ANGLE_SLACK:
         return max(best[0], 0.0), pl.StretchedWitness(
-            kind=MINIMAL_CASE_B, chain=best[1], theta_k=best[0], tie=tie
+            kind=MINIMAL_CASE_B, chain=best[1], theta_k=best[0]
         )
     try:
         _, deeper = ref_min_turn_angle(lengths, np.append(alpha, 0.0))
@@ -360,7 +368,7 @@ def ref_max_turn_angle(lengths, alpha):
     ell = lengths.lengths
     P = chain_vertices(ell[:K], alpha)
     pk = P[-1]
-    best, tie = None, False
+    best = None
     for J in range(K + 1, n):
         run_len = float(ell[K:J].sum())
         if J <= n - 2:
@@ -395,15 +403,13 @@ def ref_max_turn_angle(lengths, alpha):
             t_k = float(theta[K - 1])
             if best is None or t_k > best[0] + TIE_TOL:
                 best = (t_k, J, chain)
-            elif abs(t_k - best[0]) <= TIE_TOL and J != best[1]:
-                tie = True
     if best is None:
         raise PrefixError(
             "no valid maximally stretched candidate: prefix lies on the "
             "boundary of feasibility"
         )
     return max(best[0], 0.0), pl.StretchedWitness(
-        kind=MAXIMAL, chain=best[2], theta_k=best[0], j=best[1], tie=tie
+        kind=MAXIMAL, chain=best[2], theta_k=best[0], j=best[1]
     )
 
 
@@ -426,7 +432,7 @@ def assert_same_endpoint(got, want):
     assert not isinstance(got[0], type), got
     (v1, w1), (v2, w2) = got, want
     assert _bits(v1) == _bits(v2)
-    assert (w1.kind, w1.j, w1.tie) == (w2.kind, w2.j, w2.tie)
+    assert (w1.kind, w1.j) == (w2.kind, w2.j)
     assert _bits(w1.theta_k) == _bits(w2.theta_k)
     assert _bits(w1.chain.vertices) == _bits(w2.chain.vertices)
 
@@ -486,39 +492,36 @@ def test_walk_reaches_both_minimum_cases():
     assert kinds == {MINIMAL_CASE_A, MINIMAL_CASE_B}
 
 
-def _ref_scan(values, ok, maximize, runs):
+def _ref_scan(values, ok, maximize):
     """The scalar selection loop of the reference constructions."""
-    best, tie = None, False
+    best = None
     for c, (t, good) in enumerate(zip(values, ok)):
         if not good:
             continue
         if best is None or (t > best[0] + TIE_TOL if maximize else t < best[0] - TIE_TOL):
             best = (t, c)
-        elif abs(t - best[0]) <= TIE_TOL and (not maximize or runs[c] != runs[best[1]]):
-            tie = True
-    return best, tie
+    return best
 
 
 @pytest.mark.parametrize("maximize", [False, True])
 def test_pick_matches_scalar_scan(maximize):
     # values a fraction of TIE_TOL apart: the first candidate must win
-    # unless a later one beats it by more than TIE_TOL, and ties must be
-    # flagged exactly as the scalar loop flags them
+    # unless a later one beats it by more than TIE_TOL
     rng = np.random.default_rng(5)
     C = 6
-    runs = np.repeat(np.arange(3), 2)
     values = 1.0 + rng.integers(0, 5, (4000, C)) * 0.6 * TIE_TOL
     ok = rng.random((4000, C)) < 0.7
-    best, arg, tie = _pick(values, ok, maximize, runs if maximize else None)
-    flagged = 0
+    best, arg = _pick(values, ok, maximize)
+    kept = 0  # rows where a later candidate within TIE_TOL was better
     for r in range(len(values)):
-        want, want_tie = _ref_scan(values[r], ok[r], maximize, runs)
+        want = _ref_scan(values[r], ok[r], maximize)
         if want is None:
             assert arg[r] == -1
             continue
-        assert (best[r], arg[r], tie[r]) == (want[0], want[1], want_tie)
-        flagged += want_tie
-    assert flagged > 100
+        assert (best[r], arg[r]) == want
+        top = values[r][ok[r]].max() if maximize else values[r][ok[r]].min()
+        kept += top != want[0]
+    assert kept > 100
 
 
 def test_out_of_interval_prefix_same_error():

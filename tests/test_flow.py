@@ -183,6 +183,25 @@ def test_c03_recipe_decisions_pinned():
     assert sum(C03_RECIPE_STEPS) == 6254
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_mirror_and_cyclic_relabelling(n):
+    # a mirrored input is reflected back to the same bits, so its trace is
+    # the original's; every cyclic relabelling of the vertices converges
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        chain = random_embedded_ccw(n, rng, require_nonconvex=True)
+        trace = pl.convexify(chain)
+        mirrored = pl.convexify(pl.reflect_x(chain))
+        assert (trace.reflected, mirrored.reflected) == (False, True)
+        assert mirrored.records == trace.records
+        assert [(s.step, s.vertices.tobytes()) for s in mirrored.snapshots] == [
+            (s.step, s.vertices.tobytes()) for s in trace.snapshots
+        ]
+        for shift in range(1, n):
+            rolled = pl.PolygonChain(np.roll(chain.vertices, shift, axis=0))
+            assert pl.convexify(rolled).status == pl.CONVERGED
+
+
 class TestFlowParams:
     def test_validation(self):
         with pytest.raises(ValueError):

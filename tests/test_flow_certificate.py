@@ -296,6 +296,6 @@ def test_certificate_changes_no_decision(monkeypatch, pentagon_fixture):
         assert [s.step for s in trace.snapshots] == [s.step for s in ref.snapshots]
         for snap, ref_snap in zip(trace.snapshots, ref.snapshots):
             assert snap.vertices.tobytes() == ref_snap.vertices.tobytes()
-        final, ref_final = trace.final_chain.vertices, ref.final_chain.vertices
+        final, ref_final = trace.snapshots[-1].vertices, ref.snapshots[-1].vertices
         assert final.tobytes() == ref_final.tobytes()
     assert step.vertices.tobytes() == ref_step.vertices.tobytes()
