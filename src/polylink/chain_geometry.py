@@ -61,8 +61,8 @@ class SideLengths:
         arr = np.atleast_1d(np.asarray(self.lengths, dtype=float))
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("a linkage needs at least 3 side lengths")
-        if not np.all(arr > 0.0):
-            raise ValueError("side lengths must be strictly positive")
+        if not np.all((arr > 0.0) & (arr < math.inf)):
+            raise ValueError("side lengths must be finite and strictly positive")
         object.__setattr__(self, "lengths", arr)
 
     @property
@@ -84,7 +84,7 @@ class TurnAngles:
         arr = np.atleast_1d(np.asarray(self.angles, dtype=float))
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("need at least 3 turn angles")
-        if np.any(arr <= -math.pi - 1e-15) or np.any(arr > math.pi + 1e-15):
+        if not np.all((arr > -math.pi - 1e-15) & (arr <= math.pi + 1e-15)):
             raise ValueError("turn angles must lie in (-pi, pi]")
         object.__setattr__(self, "angles", arr)
 

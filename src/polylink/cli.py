@@ -124,6 +124,8 @@ def _load_polygon(path: str) -> tuple[PolygonChain, float]:
             chain = PolygonChain(np.asarray(data["vertices"], dtype=float))
         except (TypeError, ValueError) as exc:
             _fail(f"bad vertices: {exc}", EXIT_PARSE)
+        if not np.isfinite(chain.vertices).all():
+            _fail("bad vertices: vertices must be finite", EXIT_PARSE)
         return chain, 0.0
     if "lengths" not in data or "turn_angles" not in data:
         _fail(
@@ -149,7 +151,7 @@ def _straight_line_report(lengths: SideLengths):
 
 
 def _sign_strings(report) -> list[list[str]]:
-    return [["+" if s > 0 else "-" for s in vec] for vec in report.sign_vectors]
+    return [["+" if s > 0 else "-" for s in vec] for vec in report]
 
 
 @click.group()

@@ -51,20 +51,6 @@ class ConfigClass:
     convex_ccw: bool
 
 
-@dataclass(frozen=True)
-class StraightLineReport:
-    """Sign vectors epsilon in {+1,-1}^n with sum(eps_i * l_i) = 0.
-
-    Only the representative with ``eps[0] == +1`` of each ``{eps, -eps}``
-    pair is listed.  Membership is decided in exact rational arithmetic.
-    """
-
-    sign_vectors: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.sign_vectors)
-
-
 def classify(chain: PolygonChain) -> ConfigClass:
     """Classify a closed chain: embeddedness, winding, convexity.
 
@@ -208,15 +194,17 @@ def _expand(lo: np.ndarray, count: np.ndarray):
 
 def straight_line_sign_vectors(
     lengths: SideLengths, tolerance: float | None = None
-) -> StraightLineReport:
-    """All sign vectors with ``|sum(eps_i * l_i)| <= tolerance``.
+) -> tuple[tuple[int, ...], ...]:
+    """All sign vectors ``eps`` in ``{+1, -1}**n`` with ``|sum(eps_i *
+    l_i)| <= tolerance``, as a tuple of tuples.  Of each pair ``{eps,
+    -eps}`` only the one with ``eps[0] = +1`` is listed.
 
     Meet in the middle (Horowitz and Sahni, J. ACM 21(2), 1974): the
     signed sums of each half of the lengths are listed, one half sorted,
     and each sum of the other half looks up the partners that bring the
     total within the tolerance plus a float error margin.  Candidates are
     then confirmed in exact rational arithmetic (every finite double is a
-    ratio of integers), so the default report is exact.  Time and memory
+    ratio of integers), so the default list is exact.  Time and memory
     grow as ``2**(n/2)``; ``n`` is limited to ``MAX_SIGN_N`` = 45, and a
     report lists at most ``MAX_LISTED`` vectors (equal lengths can have
     exponentially many).  The vectors are listed in lexicographic order of
@@ -231,7 +219,7 @@ def straight_line_sign_vectors(
                 f"more than {MAX_LISTED} straight-line sign vectors to list"
             )
     found.sort()
-    return StraightLineReport(sign_vectors=tuple(v for _, v in found))
+    return tuple(v for _, v in found)
 
 
 def is_generic(lengths: SideLengths, tolerance: float | None = None) -> bool:
@@ -274,26 +262,30 @@ class ConfigSampleSet:
     Stored column-wise for memory economy at fine grids; :meth:`chain`
     rebuilds the vertices of one sample from its stored turn angles.
     Samples appear in grid-major, branch-minor order.  ``free_indices``,
-    ``branch``, ``angles``, ``winding`` and ``convex_ccw`` are computed
-    by :func:`enumerate_configurations`, which allocates each column once
-    at its final size and fills it pass by pass: turn angles
-    ``0 .. n-5`` once per prefix of the first ``n - 4`` free angles,
-    angle ``n - 4`` once per grid point, angles ``n-3 .. n-1``, winding
-    and convexity per row.  The sweep's memory is this result plus 16
-    bytes per grid point.  ``embedded`` is computed from the stored
-    angles when first read, in passes that ``CHUNK`` bounds, and then
-    kept.
+    ``branch``, ``angles`` and ``convex_ccw`` are computed by
+    :func:`enumerate_configurations`, which allocates each column once at
+    its final size and fills it pass by pass: turn angles ``0 .. n-5``
+    once per prefix of the first ``n - 4`` free angles, angle ``n - 4``
+    once per grid point, angles ``n-3 .. n-1`` and convexity per row.
+    The sweep's memory is this result plus 16 bytes per grid point.
+    ``winding``, the row sum of ``angles``, and ``embedded``, in passes
+    that ``CHUNK`` bounds, are computed from the stored angles when first
+    read, and then kept.
     """
 
     lengths: SideLengths
     free_indices: np.ndarray  # (M, n-3) int32, grid index per free angle
     branch: np.ndarray  # (M,) int8
     angles: np.ndarray  # (M, n) float
-    winding: np.ndarray  # (M,)
     convex_ccw: np.ndarray  # (M,) bool
 
     def __len__(self) -> int:
         return int(self.branch.size)
+
+    @cached_property
+    def winding(self) -> np.ndarray:
+        """(M,) float: total turning of every stored configuration."""
+        return self.angles.sum(axis=1)
 
     @cached_property
     def embedded(self) -> np.ndarray:
@@ -401,9 +393,8 @@ def enumerate_configurations(
     configuration.  Supported for ``3 <= n <= 6`` by design: this is the
     desk-scale oracle.
 
-    The sweep computes the grid indices, branches, turn angles, winding
-    and ``convex_ccw``.  Each piece of work is done where its inputs
-    vary:
+    The sweep computes the grid indices, branches, turn angles and
+    ``convex_ccw``.  Each piece of work is done where its inputs vary:
 
     * per prefix (the first ``n - 4`` free angles): vertices ``0 ..
       n-4``, their heading sum and turn angles ``0 .. n-5``;
@@ -422,11 +413,11 @@ def enumerate_configurations(
 
     Convexity is decided by the turn-angle test (winding ``2 pi``, no
     negative angle beyond a slack) first, and only the rows that pass it
-    are tested for embeddedness; the ``embedded`` column of the result is
-    computed when first read.  Either way a configuration is classified
-    on the chain rebuilt from its stored turn angles, the chain
-    :meth:`ConfigSampleSet.chain` returns, so it agrees with
-    :func:`classify` of that chain.
+    are tested for embeddedness; the ``winding`` and ``embedded`` columns
+    of the result are computed when first read.  Either way a
+    configuration is classified on the chain rebuilt from its stored turn
+    angles, the chain :meth:`ConfigSampleSet.chain` returns, so it agrees
+    with :func:`classify` of that chain.
     """
     n = lengths.n
     if not 3 <= n <= 6:
@@ -510,8 +501,7 @@ def enumerate_configurations(
         for col, (e, nxt) in enumerate(pairs, n3):
             ang[:, col] = edge_turn_angles(e, nxt)
 
-        winding[out] = ang.sum(axis=1)
-        cand = np.nonzero(_convex_turns(ang, winding[out]))[0]
+        cand = np.nonzero(_convex_turns(ang, ang.sum(axis=1)))[0]
         convex[out][cand] = _embedded_rows(ell, ang[cand])
         return out.stop
 
@@ -519,7 +509,6 @@ def enumerate_configurations(
     free_indices = np.empty((size, n3), dtype=np.int32)
     branch = np.empty(size, dtype=np.int8)
     angles = np.empty((size, n))
-    winding = np.empty(size)
     convex = np.zeros(size, dtype=bool)
     end = 0
     for start, stop in passes:
@@ -530,7 +519,6 @@ def enumerate_configurations(
         free_indices=free_indices,
         branch=branch,
         angles=angles,
-        winding=winding,
         convex_ccw=convex,
     )
 

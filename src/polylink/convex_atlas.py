@@ -91,28 +91,23 @@ class StretchedWitness:
     j: int | None = None
 
 
-def _prefix_errors(rows: np.ndarray) -> list:
-    """Per row of a ``(P, m)`` block, the ``ValueError`` of a prefix with
-    an angle outside [0, pi) or turning past 2*pi in total, else ``None``."""
-    errors: list = [None] * rows.shape[0]
-    if rows.shape[1]:
-        outside = (rows.min(axis=1) < 0.0) | (rows.max(axis=1) >= math.pi)
-        past = np.cumsum(rows, axis=1).max(axis=1) > TAU + CONVEX_ANGLE_SLACK
+def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, list]:
+    """Every row of a ``(P, m)`` block as a prefix: rows with no angle
+    below ``-CONVEX_ANGLE_SLACK`` have their construction noise clamped to
+    0.  Returns the rows and, per row, the ``ValueError`` of a prefix with
+    an angle outside [0, pi) (NaN is outside) or turning past 2*pi in
+    total, else ``None``."""
+    errors: list = [None] * alphas.shape[0]
+    if alphas.shape[1]:
+        noise = (alphas.min(axis=1) >= -CONVEX_ANGLE_SLACK)[:, None]
+        alphas = np.where(noise, np.maximum(alphas, 0.0), alphas)
+        outside = ~((alphas >= 0.0) & (alphas < math.pi)).all(axis=1)
+        past = np.cumsum(alphas, axis=1).max(axis=1) > TAU + CONVEX_ANGLE_SLACK
         for r in np.flatnonzero(outside):
             errors[r] = ValueError("prefix angles must lie in [0, pi)")
         for r in np.flatnonzero(past & ~outside):
             errors[r] = ValueError("prefix angles must not turn past 2*pi in total")
-    return errors
-
-
-def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, list]:
-    """Every row of a ``(P, m)`` block as a prefix: rows with no angle
-    below ``-CONVEX_ANGLE_SLACK`` have their construction noise clamped to
-    0.  Returns the rows and :func:`_prefix_errors` of them."""
-    if alphas.shape[1]:
-        noise = (alphas.min(axis=1) >= -CONVEX_ANGLE_SLACK)[:, None]
-        alphas = np.where(noise, np.maximum(alphas, 0.0), alphas)
-    return alphas, _prefix_errors(alphas)
+    return alphas, errors
 
 
 def _as_prefix(alpha) -> np.ndarray:
@@ -156,15 +151,16 @@ def _circle_points(c1: np.ndarray, r1, c2: np.ndarray, r2):
 
     Centers ``c1``, ``c2`` are ``(..., 2)`` and radii ``r1``, ``r2``
     ``(...)``, all broadcast together.  Returns the points, ``(..., 2,
-    2)`` with the left branch first, and how many of them the scalar
-    function returns: 0 when it finds none or raises on coincident
-    centers, 1 at a tangency, else 2.
+    2)`` with the left branch first, how many of them the scalar function
+    returns (0 when it finds none or raises on coincident centers, 1 at a
+    tangency, else 2) and the distance between the centers, ``(...)``.
     """
     dx = c2[..., 0] - c1[..., 0]
     dy = c2[..., 1] - c1[..., 1]
     d = _hypot(dx, dy)
     tol = TANGENT_RTOL * (r1 + r2)
     meet = ~((d <= tol) | (d > r1 + r2 + tol) | (d < np.abs(r1 - r2) - tol))
+    reach = d
     d = np.where(meet, d, 1.0)  # pairs without points: keep the arithmetic finite
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     h_sq = r1 * r1 - a * a
@@ -179,7 +175,7 @@ def _circle_points(c1: np.ndarray, r1, c2: np.ndarray, r2):
     points[..., 0, 1] = np.where(single, fy, fy + hy)
     points[..., 1, 0] = fx - hx
     points[..., 1, 1] = fy - hy
-    return points, np.where(meet, np.where(single, 1, 2), 0)
+    return points, np.where(meet, np.where(single, 1, 2), 0), reach
 
 
 def _pick(theta_k: np.ndarray, ok: np.ndarray, maximize: bool):
@@ -219,22 +215,19 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     construction raises, or ``None``.
     """
     P, n, K = alphas.shape[0], ell.size, alphas.shape[1] + 1
-    nu = np.zeros(P)
     found: list = [None] * P
     if K > n - 2:
-        return nu, found, _no_tail(P)
+        return np.zeros(P), found, _no_tail(P)
     errors: list = [None] * P
     front = chain_vertices(ell[:K], alphas)  # vertices 0..K-1 of each prefix
     pk = front[:, -1]
     r1 = float(ell[K])
     tail = float(ell[K + 1 :].sum())
-    d = _hypot(pk[:, 0], pk[:, 1])
-    tol = TANGENT_RTOL * (r1 + tail)
-    for r in np.flatnonzero(d > r1 + tail + tol):
+    points, count, d = _circle_points(pk, r1, np.zeros(2), tail)
+    for r in np.flatnonzero(d > r1 + tail + TANGENT_RTOL * (r1 + tail)):
         errors[r] = PrefixError(
             "prefix endpoint cannot reach closure even with a straight tail"
         )
-    points, count = _circle_points(pk, r1, np.zeros(2), tail)
     span = _hypot(points[..., 0], points[..., 1])
     built = (np.arange(2) < count[:, None]) & ~(span <= 0.0)
     u = -points / np.where(built, span, 1.0)[..., None]
@@ -257,9 +250,9 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
             errors[r] = ValueError("zero-length edge: turn angle undefined")
     # a tiny negative minimum is construction noise on an exact zero
     case_b = (arg >= 0) & (best >= -CONVEX_ANGLE_SLACK)
-    for r in np.flatnonzero(case_b):
-        nu[r] = max(float(best[r]), 0.0)
-        if witnesses:
+    nu = np.where(case_b, np.where(best < 0.0, 0.0, best), 0.0)
+    if witnesses:
+        for r in np.flatnonzero(case_b):
             found[r] = StretchedWitness(
                 kind=MINIMAL_CASE_B,
                 chain=PolygonChain(verts[r, arg[r]].copy()),
@@ -296,10 +289,9 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     intersection.  Returns as :func:`_min_block` does.
     """
     P, n, K = alphas.shape[0], ell.size, alphas.shape[1] + 1
-    mu = np.zeros(P)
     found: list = [None] * P
     if K > n - 2:
-        return mu, found, _no_tail(P)
+        return np.zeros(P), found, _no_tail(P)
     errors: list = [None] * P
     front = chain_vertices(ell[:K], alphas)  # vertices 0..K-1 of each prefix
     pk = front[:, -1]
@@ -308,11 +300,10 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     t_len = np.array([float(ell[J + 1 :].sum()) for J in ends])
     centers = np.zeros((len(ends), 2))
     centers[:-1, 0] = -t_len[:-1]  # the last run ends at the origin's circle
-    points, count = _circle_points(pk[:, None], run_len, centers, ell[K + 1 :])
+    points, count, _ = _circle_points(pk[:, None], run_len, centers, ell[K + 1 :])
     u = (points - pk[:, None, None]) / run_len[:, None, None]
-    runs = np.repeat(ends, 2)  # J of each candidate
     built = (np.arange(2) < count[..., None]).reshape(P, -1)
-    verts = np.empty((P, runs.size, n, 2))
+    verts = np.empty((P, 2 * len(ends), n, 2))
     verts[:, :, :K] = front[:, None]
     verts[:, :, n - 1] = 0.0
     for c, J in enumerate(ends):
@@ -329,23 +320,22 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     best, arg = _pick(theta[..., K - 1], ok, maximize=True)
 
     zero_edge = (built & degenerate).any(axis=1)
-    for r in range(P):
-        if zero_edge[r]:
-            errors[r] = ValueError("zero-length edge: turn angle undefined")
-        elif arg[r] < 0:
-            errors[r] = PrefixError(
-                "no valid maximally stretched candidate: prefix lies on the "
-                "boundary of feasibility"
+    for r in np.flatnonzero(zero_edge):
+        errors[r] = ValueError("zero-length edge: turn angle undefined")
+    for r in np.flatnonzero(~zero_edge & (arg < 0)):
+        errors[r] = PrefixError(
+            "no valid maximally stretched candidate: prefix lies on the "
+            "boundary of feasibility"
+        )
+    mu = np.where(best < 0.0, 0.0, best)  # rows with an error are never read
+    if witnesses:
+        for r in np.flatnonzero(~zero_edge & (arg >= 0)):
+            found[r] = StretchedWitness(
+                kind=MAXIMAL,
+                chain=PolygonChain(verts[r, arg[r]].copy()),
+                theta_k=float(best[r]),
+                j=ends[arg[r] // 2],  # two branches per run end
             )
-        else:
-            mu[r] = max(float(best[r]), 0.0)
-            if witnesses:
-                found[r] = StretchedWitness(
-                    kind=MAXIMAL,
-                    chain=PolygonChain(verts[r, arg[r]].copy()),
-                    theta_k=float(best[r]),
-                    j=int(runs[arg[r]]),
-                )
     return mu, found, errors
 
 

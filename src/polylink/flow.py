@@ -194,9 +194,10 @@ def _wall_sliding_direction(le) -> np.ndarray | None:
 
 def _evaluate(free, lengths):
     """Project free angles onto closure and evaluate the log energy there;
-    returns ``(projected free angles, LogEnergy)``."""
+    returns the ``LogEnergy``, whose ``full_angles[:-1]`` are the projected
+    free angles."""
     free, chain = project_to_closure(free, lengths)
-    return free, log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
+    return log_energy_gradient(ReducedCoords(free), lengths, chain=chain)
 
 
 # unit roundoff of IEEE doubles
@@ -321,25 +322,27 @@ class ClearanceCertificate:
         return 3.0 * move < clear and self.clearance(trial) > 0.0
 
 
-def _line_search(free, direction, s_start, s_floor, accept, lengths, cert):
-    """Backtrack along one direction; returns (free, le, step) or None
-    when no acceptable step at or above ``s_floor`` exists.
+def _line_search(le, direction, s_start, s_floor, accept, lengths, cert):
+    """Backtrack along one direction from the iterate ``le``; returns the
+    accepted trial's ``(LogEnergy, step)``, or None when no acceptable
+    step at or above ``s_floor`` exists.
 
     A trial is accepted when ``accept`` passes its log energy and it is
     embedded, tested in that order: ``cert`` (a
     :class:`ClearanceCertificate` based at the current iterate) proves
     most trials embedded, the others go to ``classify``."""
+    free = le.full_angles[:-1]
     s = s_start
     while s >= s_floor:
         try:
-            cand, cand_le = _evaluate(free + s * direction, lengths)
+            cand = _evaluate(free + s * direction, lengths)
         except (ValueError, np.linalg.LinAlgError):
             s *= BACKTRACK
             continue
-        if accept(cand_le.log_value) and (
-            cert.certifies(cand_le) or classify(cand_le.chain).embedded
+        if accept(cand.log_value) and (
+            cert.certifies(cand) or classify(cand.chain).embedded
         ):
-            return cand, cand_le, s
+            return cand, s
         s *= BACKTRACK
     return None
 
@@ -351,14 +354,14 @@ def _record(iteration: int, le, step: float) -> FlowRecord:
 
 
 def _start(chain: PolygonChain):
-    """Canonical frame, side lengths, the projected start ``(free, le)``
-    and a certificate based there; returns ``(lengths, free, le, cert)``."""
+    """Canonical frame, side lengths, the ``LogEnergy`` of the projected
+    start and a certificate based there; returns ``(lengths, le, cert)``."""
     chain = canonicalize(chain)
     lengths = chain.side_lengths()
-    free, le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths)
+    le = _evaluate(ReducedCoords.from_chain(chain).free_angles, lengths)
     cert = ClearanceCertificate(lengths)
     cert.rebase(le)
-    return lengths, free, le, cert
+    return lengths, le, cert
 
 
 def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrace:
@@ -380,7 +383,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         reflected = True
     elif abs(cls.winding - TAU) > WINDING_TOL:
         raise ValueError("embedded polygon must wind by +-2*pi")
-    lengths, free, le, cert = _start(chain)
+    lengths, le, cert = _start(chain)
 
     trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
     trace.records.append(_record(0, le, 0.0))
@@ -394,7 +397,6 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
 
     step = params.initial_step
     accepted = 0
-    last_snap = 0
     while not converged() and accepted < params.max_iterations:
         direction = _unit(-le.projected_gradient, 0.0)
         if direction is None:
@@ -404,8 +406,8 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         # stage 1: the projected gradient direction, a handful of halvings
         step = min(step / BACKTRACK, params.initial_step)
         stage1_floor = max(step * BACKTRACK**8, MIN_STEP)
-        hit = _line_search(free, direction, step, stage1_floor, lower, lengths, cert)
-        if hit is None or hit[2] < 0.05 * params.initial_step:
+        hit = _line_search(le, direction, step, stage1_floor, lower, lengths, cert)
+        if hit is None or hit[1] < 0.05 * params.initial_step:
             # gradient progress has collapsed (tied reflex angles in
             # lockstep, or the contact barrier); try coarser but more
             # robust directions, each only searched down to the step the
@@ -413,33 +415,32 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
             for alt_dir in (_balanced_lift_direction(le), _wall_sliding_direction(le)):
                 if alt_dir is None:
                     continue
-                floor = MIN_STEP if hit is None else 2.0 * hit[2]
+                floor = MIN_STEP if hit is None else 2.0 * hit[1]
                 alt = _line_search(
-                    free, alt_dir, params.initial_step, floor, lower, lengths, cert
+                    le, alt_dir, params.initial_step, floor, lower, lengths, cert
                 )
-                if alt is not None and (hit is None or alt[2] > hit[2]):
+                if alt is not None and (hit is None or alt[1] > hit[1]):
                     hit = alt
         if hit is None:
             # exhaust the plain direction before declaring a stall
             hit = _line_search(
-                free, direction, stage1_floor * BACKTRACK, MIN_STEP,
+                le, direction, stage1_floor * BACKTRACK, MIN_STEP,
                 lower, lengths, cert,
             )
         if hit is None:
             trace.status = STALLED
             break
 
-        free, le, step = hit
+        le, step = hit
         cert.rebase(le, known_embedded=True)
         accepted += 1
         trace.records.append(_record(accepted, le, step))
         if accepted % params.snapshot_stride == 0:
             trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
-            last_snap = accepted
     if converged():  # a stall leaves the iterate short of convexity
         trace.status = CONVERGED
 
-    if accepted != last_snap:
+    if accepted != trace.snapshots[-1].step:
         trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
     return trace
 
@@ -463,9 +464,8 @@ def reverse_flow_step(
         raise NotEmbeddedError("reverse step requires an embedded polygon")
     if abs(cls.winding - TAU) > WINDING_TOL:
         raise ValueError("reverse step expects a counterclockwise polygon")
-    lengths, free, le, cert = _start(chain)
-    if le.log_value == -math.inf:
-        raise ValueError("zero gradient: no ascent direction from a convex interior")
+    lengths, le, cert = _start(chain)
+    # on the convex set the log energy is -inf and its gradient zero
     direction = _unit(le.projected_gradient, 0.0)
     if direction is None:
         raise ValueError("zero gradient: no ascent direction")
@@ -480,8 +480,8 @@ def reverse_flow_step(
         return le.log_value < log_value <= log_cap
 
     hit = _line_search(
-        free, direction, params.initial_step, MIN_STEP, higher, lengths, cert
+        le, direction, params.initial_step, MIN_STEP, higher, lengths, cert
     )
     if hit is None:
         raise ValueError("no acceptable ascent step above the step floor")
-    return hit[1].chain
+    return hit[0].chain

@@ -93,10 +93,18 @@ class TestAnalyze:
         r = invoke(runner, ["analyze", "/nonexistent/l.json"])
         assert r.exit_code == 1
 
-    def test_bad_lengths_exit_1(self, runner, tmp_path):
-        f = write(tmp_path, "l.json", {"lengths": [1, -1, 1]})
-        r = invoke(runner, ["analyze", f])
+    @pytest.mark.parametrize("lengths", [[1, -1, 1], [1, math.inf, 1]],
+                             ids=["negative", "infinite"])
+    @pytest.mark.parametrize("command", [["analyze"], ["atlas", "--k", "1"]],
+                             ids=["analyze", "atlas"])
+    def test_bad_lengths_exit_1(self, runner, tmp_path, command, lengths):
+        f = write(tmp_path, "l.json", {"lengths": lengths})
+        r = invoke(runner, [command[0], f, *command[1:]])
         assert r.exit_code == 1
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {
+            "error": "bad lengths: side lengths must be finite and strictly positive"
+        }
 
 
 class TestCheck:
@@ -160,6 +168,29 @@ class TestCheck:
         )
         r = invoke(runner, ["check", f])
         assert r.exit_code == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["check", "convexify"])
+    def test_non_finite_vertices_exit_1(self, runner, tmp_path, command, value):
+        verts = [[0, 0], [1, 0], [value, 1], [0, 1]]
+        f = write(tmp_path, "p.json", {"vertices": verts})
+        r = invoke(runner, [command, f])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {"error": "bad vertices: vertices must be finite"}
+
+    def test_nan_turn_angle_exits_1(self, runner, tmp_path):
+        h = math.pi / 2
+        f = write(
+            tmp_path, "p.json",
+            {"lengths": [1, 1, 1, 1], "turn_angles": [math.nan, h, h, h]},
+        )
+        r = invoke(runner, ["check", f])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {
+            "error": "bad polygon data: turn angles must lie in (-pi, pi]"
+        }
 
 
 class TestConvexify:

@@ -560,6 +560,7 @@ def _block_outcome(lengths, block):
         ([0.4, math.pi, 0.3], "prefix angles must lie in [0, pi)"),
         ([3.1, 3.1, 0.2], "prefix angles must not turn past 2*pi in total"),
         ([0.4, 0.3, -0.5 * CONVEX_ANGLE_SLACK], None),  # noise within the slack
+        ([0.4, math.nan, 0.3], "prefix angles must lie in [0, pi)"),
     ],
 )
 def test_bad_prefix_same_message_everywhere(alpha, message):

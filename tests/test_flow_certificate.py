@@ -26,7 +26,8 @@ def _probe(free, lengths):
     """The flow's evaluation of free angles, ``(projected free angles,
     LogEnergy)``, or None where the line search would skip them."""
     try:
-        return flow._evaluate(free, lengths)
+        le = flow._evaluate(free, lengths)
+        return le.full_angles[:-1], le
     except (ValueError, np.linalg.LinAlgError):
         return None
 
