@@ -63,6 +63,9 @@ class SideLengths:
             raise ValueError("a linkage needs at least 3 side lengths")
         if not np.all((arr > 0.0) & (arr < math.inf)):
             raise ValueError("side lengths must be finite and strictly positive")
+        with np.errstate(over="ignore"):  # reported by the error, not a warning
+            if not math.isfinite(arr.sum()):
+                raise ValueError("side lengths must have a finite sum")
         object.__setattr__(self, "lengths", arr)
 
     @property
@@ -160,14 +163,19 @@ def chain_vertices(ell: np.ndarray, turns) -> np.ndarray:
     vertices reached; ``ell`` holds the ``k + 1`` edge lengths.  The
     heading of edge ``j`` is the sum of the first ``j`` turns.  Returns the
     endpoint of every edge, shape ``(..., k + 1, 2)``; the origin itself
-    is not included.
+    is not included.  The arrays are sized by ``ell``, so the oracle's
+    triangle, with no lengths and no turns, gets shape ``(..., 0, 2)``.
     """
     turns = np.asarray(turns, dtype=float)
-    headings = np.concatenate(
-        (np.zeros(turns.shape[:-1] + (1,)), np.cumsum(turns, axis=-1)), axis=-1
-    )
-    steps = ell[:, None] * np.stack((np.cos(headings), np.sin(headings)), axis=-1)
-    return np.cumsum(steps, axis=-2)
+    batch, m = turns.shape[:-1], ell.size
+    headings = np.empty(batch + (m,))
+    headings[..., :1] = 0.0
+    np.cumsum(turns, axis=-1, out=headings[..., 1:])
+    steps = np.empty(batch + (m, 2))
+    np.cos(headings, out=steps[..., 0])
+    np.sin(headings, out=steps[..., 1])
+    steps *= ell[:, None]
+    return np.cumsum(steps, axis=-2, out=steps)
 
 
 def vertices_from_turn_angles(

@@ -199,13 +199,13 @@ def check(polygon_file):
     sys.exit(EXIT_OK if cls.embedded else EXIT_NONEMBEDDED)
 
 
-def _trace_json(trace, generic) -> dict:
+def _trace_json(trace, records, generic) -> dict:
     return {
         "status": trace.status,
         "reflected": trace.reflected,
         "generic": generic,
         "lengths": list(trace.lengths.lengths),
-        "records": [dataclasses.asdict(r) for r in trace.records],
+        "records": [dataclasses.asdict(r) for r in records],
         "snapshots": [
             {"step": s.step, "vertices": [list(v) for v in s.vertices]}
             for s in trace.snapshots
@@ -243,18 +243,21 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
     # is reported as undecided rather than failing a finished run
     lengths = trace.lengths
     generic = is_generic(lengths) if lengths.n <= MAX_SIGN_N else None
+    records = trace.records  # rebuilt on each read of the trace
 
     if trace_path:
-        Path(trace_path).write_text(render_json(_trace_json(trace, generic)) + "\n")
+        Path(trace_path).write_text(
+            render_json(_trace_json(trace, records, generic)) + "\n"
+        )
     if svg_dir:
         frames = [s.vertices for s in trace.snapshots]
         rows = [
             (r.iteration, r.energy, r.log_energy, r.min_turn_angle)
-            for r in trace.records
+            for r in records
         ]
         write_frame_set(svg_dir, frames, rows)
 
-    last = trace.records[-1]
+    last = records[-1]
     click.echo(
         render_json(
             {

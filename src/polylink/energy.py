@@ -78,12 +78,13 @@ def _elliptic_pairs(verts: np.ndarray, anchor: np.ndarray):
     origin for the smooth extension used in gradient work).  Denominators
     off the pair mask are ``inf``, so their terms vanish.
     """
-    starts = np.vstack((anchor, verts[:-1]))
-    to_a = verts[None, :, :] - starts[:, None, :]
-    to_b = verts[None, :, :] - verts[:, None, :]
-    da = np.hypot(to_a[..., 0], to_a[..., 1])
-    db = np.hypot(to_b[..., 0], to_b[..., 1])
-    lab = np.diagonal(da)  # da[i, i] = |verts[i] - starts[i]|
+    # one (n + 1, n) matrix from the anchor and every vertex: edge i starts
+    # at row i and ends at row i + 1
+    points = np.concatenate((anchor[None], verts))
+    diff = verts[None, :, :] - points[:, None, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    to_a, to_b, da, db = diff[:-1], diff[1:], dist[:-1], dist[1:]
+    lab = np.diagonal(da)  # da[i, i] = |verts[i] - points[i]|, edge i's length
     den = np.where(_pair_mask(verts.shape[0]), da + db - lab[:, None], np.inf)
     min_den = float(np.fmin.reduce(den, axis=None))  # skips NaN, as den <= 0 does
     if min_den <= 0.0:

@@ -29,6 +29,7 @@ mirror images); the trace records that this happened.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,6 @@ class FlowParams:
             raise ValueError("iteration counts must be >= 1")
 
 
-# slotted: a trace holds one record per accepted step, and callers keep traces
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
     iteration: int
@@ -108,17 +108,30 @@ class FlowSnapshot:
 
 @dataclass(eq=False)
 class FlowTrace:
-    """Record of one convexification run."""
+    """Record of one convexification run.
+
+    Callers keep traces, so a step is stored as three doubles in
+    ``history``: its log energy, smallest turn angle and step size, the
+    start first with step size 0.  ``records`` rebuilds the records from
+    them on each read."""
 
     lengths: SideLengths
     status: str
     reflected: bool
-    records: list[FlowRecord] = field(default_factory=list)
     snapshots: list[FlowSnapshot] = field(default_factory=list)
+    history: array = field(default_factory=lambda: array("d"))
+
+    @property
+    def records(self) -> list[FlowRecord]:
+        h = self.history
+        return [
+            FlowRecord(i, math.exp(log), log, low, step)
+            for i, (log, low, step) in enumerate(zip(h[0::3], h[1::3], h[2::3]))
+        ]
 
     @property
     def accepted_steps(self) -> int:
-        return len(self.records) - 1
+        return len(self.history) // 3 - 1
 
 
 def project_to_closure(
@@ -132,8 +145,11 @@ def project_to_closure(
     one to be below a tenth of it.  Returns the projected free angles and
     the closed configuration the last Newton check built from them.
     """
-    free = np.asarray(free_angles, dtype=float).copy()
-    chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
+    # one buffer of all n angles: Newton updates the free ones in place,
+    # and the last, which no vertex depends on, stays 0.0
+    theta = np.append(np.asarray(free_angles, dtype=float), 0.0)
+    free = theta[:-1]
+    chain, defect = vertices_from_turn_angles(lengths, theta)
     if defect > 0.1 * lengths.perimeter:
         raise ClosureError("closure defect too large for Newton projection")
     tol = CLOSURE_RTOL * lengths.perimeter
@@ -142,7 +158,7 @@ def project_to_closure(
             return free, chain
         verts = chain.vertices
         free -= min_norm_correction(closure_jacobian(verts), verts[-1])
-        chain, defect = vertices_from_turn_angles(lengths, np.append(free, 0.0))
+        chain, defect = vertices_from_turn_angles(lengths, theta)
     raise ClosureError(
         f"closure Newton did not converge in {CLOSURE_MAX_ITER} iterations "
         f"(defect {defect:.3e})"
@@ -347,12 +363,6 @@ def _line_search(le, direction, s_start, s_floor, accept, lengths, cert):
     return None
 
 
-def _record(iteration: int, le, step: float) -> FlowRecord:
-    return FlowRecord(
-        iteration, math.exp(le.log_value), le.log_value, le.min_turn_angle, step
-    )
-
-
 def _start(chain: PolygonChain):
     """Canonical frame, side lengths, the ``LogEnergy`` of the projected
     start and a certificate based there; returns ``(lengths, le, cert)``."""
@@ -386,7 +396,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
     lengths, le, cert = _start(chain)
 
     trace = FlowTrace(lengths=lengths, status=MAX_ITERATIONS, reflected=reflected)
-    trace.records.append(_record(0, le, 0.0))
+    trace.history.extend((le.log_value, le.min_turn_angle, 0.0))
     trace.snapshots.append(FlowSnapshot(0, le.chain.vertices.copy()))
 
     def lower(log_value):  # strict descent from the current iterate
@@ -434,7 +444,7 @@ def convexify(chain: PolygonChain, params: FlowParams | None = None) -> FlowTrac
         le, step = hit
         cert.rebase(le, known_embedded=True)
         accepted += 1
-        trace.records.append(_record(accepted, le, step))
+        trace.history.extend((le.log_value, le.min_turn_angle, step))
         if accepted % params.snapshot_stride == 0:
             trace.snapshots.append(FlowSnapshot(accepted, le.chain.vertices.copy()))
     if converged():  # a stall leaves the iterate short of convexity

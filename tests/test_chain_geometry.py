@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polylink as pl
+from polylink.chain_geometry import chain_vertices
 
 from conftest import random_closed_chain
 
@@ -43,6 +44,35 @@ class TestVerticesFromTurnAngles:
             pl.vertices_from_turn_angles(
                 pl.SideLengths([1, 1, 1]), np.array([0.1] * 4)
             )
+
+
+def _chain_vertices_stacked(ell, turns):
+    """Reference for ``chain_vertices``: headings and steps built by
+    concatenate and stack, as the kernel once formed them."""
+    turns = np.asarray(turns, dtype=float)
+    headings = np.concatenate(
+        (np.zeros(turns.shape[:-1] + (1,)), np.cumsum(turns, axis=-1)), axis=-1
+    )
+    steps = ell[:, None] * np.stack((np.cos(headings), np.sin(headings)), axis=-1)
+    return np.cumsum(steps, axis=-2)
+
+
+class TestChainVertices:
+    @pytest.mark.parametrize("shape", [(0,), (9,), (50, 9), (4, 6, 9)])
+    def test_matches_stacked_formula(self, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        turns = rng.uniform(-math.pi, math.pi, shape)
+        ell = rng.uniform(1e-3, 1e3, shape[-1] + 1)
+        got = chain_vertices(ell, turns)
+        want = _chain_vertices_stacked(ell, turns)
+        assert got.shape == want.shape == shape[:-1] + (shape[-1] + 1, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_triangle_batch_without_lengths(self):
+        # the oracle's triangle has no free angle: no lengths, no turns
+        ell, turns = np.ones(3)[:0], np.empty((1, 0))
+        got = chain_vertices(ell, turns)
+        assert got.shape == _chain_vertices_stacked(ell, turns).shape == (1, 0, 2)
 
 
 class TestTurnAnglesFromVertices:

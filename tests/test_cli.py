@@ -93,18 +93,23 @@ class TestAnalyze:
         r = invoke(runner, ["analyze", "/nonexistent/l.json"])
         assert r.exit_code == 1
 
-    @pytest.mark.parametrize("lengths", [[1, -1, 1], [1, math.inf, 1]],
-                             ids=["negative", "infinite"])
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([1, -1, 1], "side lengths must be finite and strictly positive"),
+            ([1, math.inf, 1], "side lengths must be finite and strictly positive"),
+            ([1e308, 1e308, 1e308], "side lengths must have a finite sum"),
+        ],
+        ids=["negative", "infinite", "overflow"],
+    )
     @pytest.mark.parametrize("command", [["analyze"], ["atlas", "--k", "1"]],
                              ids=["analyze", "atlas"])
-    def test_bad_lengths_exit_1(self, runner, tmp_path, command, lengths):
+    def test_bad_lengths_exit_1(self, runner, tmp_path, command, lengths, message):
         f = write(tmp_path, "l.json", {"lengths": lengths})
         r = invoke(runner, [command[0], f, *command[1:]])
         assert r.exit_code == 1
         assert r.stdout == ""
-        assert json.loads(r.stderr) == {
-            "error": "bad lengths: side lengths must be finite and strictly positive"
-        }
+        assert json.loads(r.stderr) == {"error": f"bad lengths: {message}"}
 
 
 class TestCheck:

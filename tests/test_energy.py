@@ -5,9 +5,11 @@ import pytest
 
 import polylink as pl
 from polylink.energy import (
+    _elliptic_pairs,
     _elliptic_value,
     _elliptic_value_and_vertex_grad,
     _logsumexp,
+    _pair_mask,
     _swing_gradient,
     closure_jacobian,
     log_bump,
@@ -97,6 +99,19 @@ def _loop_elliptic(verts, anchor):
     return total, grad, min_den
 
 
+def _two_matrix_pairs(verts, anchor):
+    """Reference for ``_elliptic_pairs``: the edge starts and the edge ends
+    each in a matrix of their own, as the kernel once formed them."""
+    starts = np.vstack((anchor, verts[:-1]))
+    to_a = verts[None, :, :] - starts[:, None, :]
+    to_b = verts[None, :, :] - verts[:, None, :]
+    da = np.hypot(to_a[..., 0], to_a[..., 1])
+    db = np.hypot(to_b[..., 0], to_b[..., 1])
+    lab = np.diagonal(da)
+    den = np.where(_pair_mask(verts.shape[0]), da + db - lab[:, None], np.inf)
+    return to_a, to_b, da, db, den, float(np.fmin.reduce(den, axis=None))
+
+
 def _nonconvex_star(n, seed):
     rng = np.random.default_rng(seed)
     while True:
@@ -124,6 +139,26 @@ class TestEllipticKernel:
             assert min_den == pytest.approx(min_den_ref, rel=1e-12, abs=0)
             assert _elliptic_value(verts, anchor) == F
             assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    @pytest.mark.parametrize("anchor", ["origin", "last"])
+    def test_pairs_match_two_matrix_formula(self, n, anchor):
+        # one distance matrix from the anchor and the vertices gives the
+        # bits of separate start and end matrices
+        chain = star_polygon(n, np.random.default_rng(n))
+        if anchor == "last":  # a closed chain off the canonical frame
+            verts = chain.vertices + np.array([0.3, -0.7])
+            point = verts[-1]
+        else:  # the off-manifold chain of the gradient work
+            coords = pl.ReducedCoords.from_chain(chain)
+            lengths = chain.side_lengths()
+            verts = pl.ReducedCoords(coords.free_angles + 1e-3).chain(lengths)[0].vertices
+            point = np.zeros(2)
+        got = _elliptic_pairs(verts, point)
+        want = _two_matrix_pairs(verts, point)
+        for a, b in zip(got[:5], want[:5]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[5] == want[5]
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
     def test_swing_gradient_matches_definition(self, n):

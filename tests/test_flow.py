@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,45 @@ class TestConvexify:
                 assert r.energy == pytest.approx(
                     math.exp(r.log_energy), rel=1e-12
                 )
+
+
+def _assert_records_rebuilt(trace):
+    records = trace.records
+    assert len(records) == trace.accepted_steps + 1
+    for i, r in enumerate(records):
+        assert r.iteration == i
+        assert r.energy == math.exp(r.log_energy)
+    assert records[0].step_size == 0.0
+    assert trace.records == records  # each read rebuilds the same list
+
+
+class TestTraceStorage:
+    def test_pentagon_records_rebuilt(self, pentagon_fixture):
+        _assert_records_rebuilt(pl.convexify(pentagon_fixture))
+
+    def test_seeded_records_rebuilt(self):
+        rng = np.random.default_rng(21)
+        for count in range(8):
+            chain = random_embedded_ccw(4 + count % 5, rng, require_nonconvex=True)
+            _assert_records_rebuilt(pl.convexify(chain))
+
+    def test_kept_traces_cost_under_100_bytes_a_step(self):
+        # callers keep traces: a step costs three doubles of history and
+        # its share of the snapshots, not a record object
+        rng = np.random.default_rng(12)
+        chains = [random_embedded_ccw(12, rng, require_nonconvex=True) for _ in range(12)]
+        pl.convexify(chains[0])  # fill the kernels' caches before counting
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traces = [pl.convexify(chain) for chain in chains]
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        steps = sum(trace.accepted_steps for trace in traces)
+        assert kept <= 100 * steps, (kept, steps)
 
 
 # accepted steps of the first 40 polygons of the c03 acceptance recipe
