@@ -17,7 +17,7 @@ Conventions (used throughout the package, all indices 0-based):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -53,9 +53,11 @@ def normalize_angle(theta: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SideLengths:
-    """Ordered positive edge lengths of a closed linkage."""
+    """Ordered positive edge lengths of a closed linkage, with their sum
+    ``perimeter``."""
 
     lengths: np.ndarray
+    perimeter: float = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.lengths, dtype=float))
@@ -64,17 +66,15 @@ class SideLengths:
         if not np.all((arr > 0.0) & (arr < math.inf)):
             raise ValueError("side lengths must be finite and strictly positive")
         with np.errstate(over="ignore"):  # reported by the error, not a warning
-            if not math.isfinite(arr.sum()):
-                raise ValueError("side lengths must have a finite sum")
+            perimeter = float(arr.sum())
+        if not math.isfinite(perimeter):
+            raise ValueError("side lengths must have a finite sum")
         object.__setattr__(self, "lengths", arr)
+        object.__setattr__(self, "perimeter", perimeter)
 
     @property
     def n(self) -> int:
         return int(self.lengths.size)
-
-    @property
-    def perimeter(self) -> float:
-        return float(self.lengths.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +170,12 @@ def chain_vertices(ell: np.ndarray, turns) -> np.ndarray:
     batch, m = turns.shape[:-1], ell.size
     headings = np.empty(batch + (m,))
     headings[..., :1] = 0.0
-    np.cumsum(turns, axis=-1, out=headings[..., 1:])
+    turns.cumsum(axis=-1, out=headings[..., 1:])
     steps = np.empty(batch + (m, 2))
     np.cos(headings, out=steps[..., 0])
     np.sin(headings, out=steps[..., 1])
     steps *= ell[:, None]
-    return np.cumsum(steps, axis=-2, out=steps)
+    return steps.cumsum(axis=-2, out=steps)
 
 
 def vertices_from_turn_angles(

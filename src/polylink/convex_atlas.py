@@ -339,6 +339,32 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     return mu, found, errors
 
 
+def _unit_scale(lengths: SideLengths) -> tuple[np.ndarray, int]:
+    """The lengths times the power of two ``2**-e`` that brings the
+    largest into [1, 2), and ``e``.
+
+    The constructions square lengths, so they run at this scale, where
+    nothing overflows or underflows, and :func:`_rescaled` takes their
+    witnesses back; ``ldexp`` is exact both ways, so angles and
+    witnesses come out as at any scale a power of two away.
+    """
+    e = math.frexp(float(lengths.lengths.max()))[1] - 1
+    return np.ldexp(lengths.lengths, -e), e
+
+
+def _rescaled(found: list, e: int) -> list:
+    """Witnesses of the constructions at scale 1 with their vertices
+    times ``2**e``."""
+    if e == 0:
+        return found
+    return [
+        w if w is None else StretchedWitness(
+            w.kind, PolygonChain(np.ldexp(w.chain.vertices, e)), w.theta_k, w.j
+        )
+        for w in found
+    ]
+
+
 def _intervals(lengths: SideLengths, alphas: np.ndarray, witnesses: bool):
     """Level intervals ``[nu, mu]`` of a ``(P, K-1)`` block of prefixes.
 
@@ -346,7 +372,7 @@ def _intervals(lengths: SideLengths, alphas: np.ndarray, witnesses: bool):
     raises what the scalar constructions would raise on its first failing
     row: a bad prefix first, then the minimum's error, then the maximum's.
     """
-    ell = lengths.lengths
+    ell, e = _unit_scale(lengths)
     rows, bad = _as_prefix_rows(alphas)
     nu, wmin, err_min = _min_block(ell, rows, witnesses)
     mu, wmax, err_max = _max_block(ell, rows, witnesses)
@@ -354,7 +380,7 @@ def _intervals(lengths: SideLengths, alphas: np.ndarray, witnesses: bool):
         for exc in errors:
             if exc is not None:
                 raise exc
-    return nu, wmin, mu, wmax
+    return nu, _rescaled(wmin, e), mu, _rescaled(wmax, e)
 
 
 def _one(block, lengths: SideLengths, alpha):
@@ -362,10 +388,11 @@ def _one(block, lengths: SideLengths, alpha):
     alpha = _as_prefix(alpha)
     _require_generic(lengths)
     _level_bounds(lengths, alpha.size + 1)
-    value, found, errors = block(lengths.lengths, alpha[None], True)
+    ell, e = _unit_scale(lengths)
+    value, found, errors = block(ell, alpha[None], True)
     if errors[0] is not None:
         raise errors[0]
-    return float(value[0]), found[0]
+    return float(value[0]), _rescaled(found, e)[0]
 
 
 def min_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness]:

@@ -84,7 +84,7 @@ def _elliptic_pairs(verts: np.ndarray, anchor: np.ndarray):
     diff = verts[None, :, :] - points[:, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     to_a, to_b, da, db = diff[:-1], diff[1:], dist[:-1], dist[1:]
-    lab = np.diagonal(da)  # da[i, i] = |verts[i] - points[i]|, edge i's length
+    lab = da.diagonal()  # da[i, i] = |verts[i] - points[i]|, edge i's length
     den = np.where(_pair_mask(verts.shape[0]), da + db - lab[:, None], np.inf)
     min_den = float(np.fmin.reduce(den, axis=None))  # skips NaN, as den <= 0 does
     if min_den <= 0.0:
@@ -92,33 +92,37 @@ def _elliptic_pairs(verts: np.ndarray, anchor: np.ndarray):
     return to_a, to_b, da, db, den, min_den
 
 
-def _elliptic_value(verts: np.ndarray, anchor: np.ndarray) -> float:
-    den = _elliptic_pairs(verts, anchor)[4]
-    return float(np.sum(1.0 / (den * den)))
-
-
-def _elliptic_value_and_vertex_grad(verts: np.ndarray, anchor: np.ndarray):
-    """Energy F, dF/d(vertex) for every vertex (anchor constant) and the
-    smallest pair denominator, which bounds the clearance:
-    dist(v, ab) >= (|v - a| + |v - b| - |a - b|) / 2."""
-    to_a, to_b, da, db, den, min_den = _elliptic_pairs(verts, anchor)
-    mask = _pair_mask(verts.shape[0])
+def _elliptic_value(verts: np.ndarray, anchor: np.ndarray):
+    """Energy F with what its vertex gradient reads: ``(F, inv, pairs)``,
+    ``inv`` the terms ``1 / den**2`` and ``pairs`` the tuple of
+    :func:`_elliptic_pairs`, which ends with the smallest denominator; it
+    bounds the clearance: dist(v, ab) >= (|v - a| + |v - b| - |a - b|) / 2."""
+    pairs = _elliptic_pairs(verts, anchor)
+    den = pairs[4]
     inv = 1.0 / (den * den)
+    return float(inv.sum()), inv, pairs
+
+
+def _elliptic_vertex_grad(inv: np.ndarray, pairs) -> np.ndarray:
+    """dF/d(vertex) for every vertex (anchor constant), from the terms and
+    pairs of :func:`_elliptic_value`."""
+    to_a, to_b, da, db, den, _ = pairs
+    mask = _pair_mask(den.shape[0])
     w = -2.0 * inv / den  # d(term)/d(den); zero off the mask
     pa = np.divide(w, da, out=np.zeros_like(w), where=mask)[..., None] * to_a
     pb = np.divide(w, db, out=np.zeros_like(w), where=mask)[..., None] * to_b
-    e_hat = np.diagonal(to_a).T / np.diagonal(da)[:, None]  # edge i direction
+    e_hat = to_a.diagonal().T / da.diagonal()[:, None]  # edge i direction
     we = w.sum(axis=1)[:, None] * e_hat
     # each term moves with its vertex j and with both endpoints of edge i
     grad = (pa + pb).sum(axis=0) - pb.sum(axis=1) - we
     grad[:-1] += we[1:] - pa[1:].sum(axis=1)
-    return float(np.sum(inv)), grad, min_den
+    return grad
 
 
 def elliptic_energy(chain: PolygonChain) -> float:
     """Elliptic distance energy of a closed embedded polygon."""
     verts = chain.vertices
-    return _elliptic_value(verts, verts[-1])
+    return _elliptic_value(verts, verts[-1])[0]
 
 
 def _bump_amplitude(theta: np.ndarray) -> float:
@@ -208,8 +212,8 @@ def _swing_gradient(verts: np.ndarray, vgrad: np.ndarray) -> np.ndarray:
     ``C[m+1] - v_m x G[m+1]`` with the suffix sums ``G[m] = sum_{k>=m} g_k``
     and ``C[m] = sum_{k>=m} v_k x g_k``."""
     cross = verts[:, 0] * vgrad[:, 1] - verts[:, 1] * vgrad[:, 0]
-    C = np.cumsum(cross[::-1])[::-1]
-    G = np.cumsum(vgrad[::-1], axis=0)[::-1]
+    C = cross[::-1].cumsum()[::-1]
+    G = vgrad[::-1].cumsum(axis=0)[::-1]
     return C[1:] - (verts[:-1, 0] * G[1:, 1] - verts[:-1, 1] * G[1:, 0])
 
 
@@ -238,7 +242,7 @@ def energy_of_free_angles(free: np.ndarray, lengths: SideLengths) -> float:
     amp = _bump_amplitude(coords.full_angles())
     if amp == 0.0:
         return 0.0
-    return amp * _elliptic_value(chain.vertices, np.zeros(2))
+    return amp * _elliptic_value(chain.vertices, np.zeros(2))[0]
 
 
 def energy_gradient(coords: ReducedCoords, lengths: SideLengths) -> EnergyGradient:
@@ -280,34 +284,89 @@ def finite_difference_gradient(
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    top = np.max(values)
+    top = values.max()
     if top == -math.inf:
         return -math.inf
-    return float(top + math.log(np.sum(np.exp(values - top))))
+    return float(top + math.log(np.exp(values - top).sum()))
 
 
-@dataclass(frozen=True, eq=False)
 class LogEnergy:
     """Log-domain modified energy; finite whenever some turn angle is
     negative, -inf exactly on the convex set.
 
-    ``bump_gradient`` is the bump-factor part of the gradient (the rest
-    is the gradient of log F, which acts as the contact barrier).
     ``chain`` is the configuration the energy was evaluated on, with all
-    ``n`` of its turn angles in ``full_angles`` and its closure Jacobian
-    in ``jacobian``.  ``min_den`` is the smallest pair denominator of F,
-    computed with edge 0 anchored at the exact origin; half of it bounds
-    the distance of every vertex from every non-incident edge."""
+    ``n`` of its turn angles in ``full_angles``.  ``min_den`` is the
+    smallest pair denominator of F, computed with edge 0 anchored at the
+    exact origin; half of it bounds the distance of every vertex from
+    every non-incident edge.  These and ``log_value`` are computed with
+    the energy.
 
-    log_value: float
-    gradient: np.ndarray  # of log E, full
-    projected_gradient: np.ndarray
-    bump_gradient: np.ndarray
-    min_turn_angle: float
-    chain: PolygonChain
-    full_angles: np.ndarray
-    jacobian: np.ndarray
-    min_den: float
+    ``gradient`` (of log E, full), ``projected_gradient``,
+    ``bump_gradient`` (the bump-factor part of the gradient; the rest is
+    the gradient of log F, which acts as the contact barrier) and the
+    closure ``jacobian`` are computed on first read, from the pair arrays
+    the value was summed from, which are then dropped: a line-search
+    trial that is rejected never pays for its gradient."""
+
+    __slots__ = (
+        "log_value", "min_turn_angle", "chain", "full_angles", "min_den",
+        "_terms", "_gradient", "_bump_gradient", "_projected", "_jacobian",
+    )
+
+    def __init__(self, log_value, chain, full_angles, min_den, terms):
+        self.log_value = log_value
+        self.min_turn_angle = float(full_angles.min())
+        self.chain = chain
+        self.full_angles = full_angles
+        self.min_den = min_den
+        # (bump arguments, their log bumps, log amplitude, F, its terms,
+        # its pairs) until the gradient is read; None on the convex set,
+        # where every gradient is zero
+        self._terms = terms
+        self._jacobian = None
+        if terms is None:
+            zero = np.zeros(full_angles.size - 1)
+            self._gradient = self._bump_gradient = self._projected = zero
+        else:
+            self._projected = None
+
+    def _differentiate(self) -> None:
+        """Compute the gradient and its bump part; drop the pair arrays."""
+        x, logs, log_amp, F, inv, pairs = self._terms
+        # softmax weights of the active bumps times their log-derivatives
+        # 2/x^3, formed only where the weight is positive (else 0 * inf at
+        # a tiny x)
+        w = np.exp(logs - log_amp)
+        contrib = w * np.divide(2.0, x**3, out=np.zeros_like(x), where=w > 0.0)
+        d_log_amp = -contrib[:-1] + contrib[-1]
+        vgrad = _elliptic_vertex_grad(inv, pairs)
+        self._gradient = d_log_amp + _swing_gradient(self.chain.vertices, vgrad) / F
+        self._bump_gradient = d_log_amp
+        self._terms = None
+
+    @property
+    def gradient(self) -> np.ndarray:
+        if self._terms is not None:
+            self._differentiate()
+        return self._gradient
+
+    @property
+    def bump_gradient(self) -> np.ndarray:
+        if self._terms is not None:
+            self._differentiate()
+        return self._bump_gradient
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        if self._jacobian is None:
+            self._jacobian = closure_jacobian(self.chain.vertices)
+        return self._jacobian
+
+    @property
+    def projected_gradient(self) -> np.ndarray:
+        if self._projected is None:
+            self._projected = project_tangent(self.gradient, self.jacobian)
+        return self._projected
 
 
 def log_energy_gradient(
@@ -323,40 +382,19 @@ def log_energy_gradient(
     Representable in doubles for reflex angles arbitrarily close to zero,
     unlike E itself.  ``chain``, when given, must be ``coords.chain(lengths)``
     already built by the caller (the closure projection builds it at its
-    last Newton check); it is used instead of building it again.
+    last Newton check); it is used instead of building it again.  The
+    value is computed here, the gradients on first read (see
+    :class:`LogEnergy`).
     """
-    n = coords.n
     if chain is None:
         chain, _ = coords.chain(lengths)
-    verts = chain.vertices
     full = coords.full_angles()
-
     x = -full  # bump arguments
     logs = log_bump(x)
     log_amp = _logsumexp(logs)
-    F, vgrad, min_den = _elliptic_value_and_vertex_grad(verts, np.zeros(2))
-    jac = closure_jacobian(verts)
-
+    F, inv, pairs = _elliptic_value(chain.vertices, np.zeros(2))
     if log_amp == -math.inf:
-        zero = np.zeros(n - 1)
-        return LogEnergy(
-            -math.inf, zero, zero, zero, float(full.min()), chain, full, jac, min_den
-        )
-
-    # softmax weights of the active bumps times their log-derivatives 2/x^3,
-    # formed only where the weight is positive (else 0 * inf at a tiny x)
-    w = np.exp(logs - log_amp)
-    contrib = w * np.divide(2.0, x**3, out=np.zeros_like(x), where=w > 0.0)
-    d_log_amp = -contrib[:-1] + contrib[-1]
-    grad = d_log_amp + _swing_gradient(verts, vgrad) / F
+        return LogEnergy(-math.inf, chain, full, pairs[5], None)
     return LogEnergy(
-        log_value=log_amp + math.log(F),
-        gradient=grad,
-        projected_gradient=project_tangent(grad, jac),
-        bump_gradient=d_log_amp,
-        min_turn_angle=float(full.min()),
-        chain=chain,
-        full_angles=full,
-        jacobian=jac,
-        min_den=min_den,
+        log_amp + math.log(F), chain, full, pairs[5], (x, logs, log_amp, F, inv, pairs)
     )

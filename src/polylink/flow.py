@@ -147,8 +147,10 @@ def project_to_closure(
     """
     # one buffer of all n angles: Newton updates the free ones in place,
     # and the last, which no vertex depends on, stays 0.0
-    theta = np.append(np.asarray(free_angles, dtype=float), 0.0)
+    free_angles = np.asarray(free_angles, dtype=float).ravel()
+    theta = np.zeros(free_angles.size + 1)
     free = theta[:-1]
+    free[:] = free_angles
     chain, defect = vertices_from_turn_angles(lengths, theta)
     if defect > 0.1 * lengths.perimeter:
         raise ClosureError("closure defect too large for Newton projection")
@@ -168,7 +170,7 @@ def project_to_closure(
 def _unit(d: np.ndarray, floor: float) -> np.ndarray | None:
     """``d`` scaled to unit length, or ``None`` unless its norm is finite
     and above ``floor``."""
-    norm = float(np.linalg.norm(d))
+    norm = math.sqrt(d.dot(d))  # what np.linalg.norm computes for 1-D d
     if not (math.isfinite(norm) and norm > floor):
         return None
     return d / norm
@@ -297,6 +299,7 @@ class ClearanceCertificate:
         self._max_len = float(ell.max())
         self._perimeter = lengths.perimeter
         self._base = None  # (vertices, clearance) of the iterate X
+        self._last = None  # (trial, clearance) of the last trial certified
 
     def clearance(self, le) -> float:
         """Certified clearance of ``le.chain``: the lower bound ``c`` on
@@ -322,7 +325,8 @@ class ClearanceCertificate:
         """Start certifying trials from the iterate ``le``.  Unless the
         caller knows ``embedded_mask`` holds for it, one call checks that;
         an iterate that fails it, or is not clear, certifies nothing."""
-        clear = self.clearance(le)
+        last, self._last = self._last, None
+        clear = last[1] if last is not None and last[0] is le else self.clearance(le)
         verts = le.chain.vertices
         if clear > 0.0 and (known_embedded or embedded_mask(verts[None])[0]):
             self._base = (verts, clear)
@@ -335,7 +339,10 @@ class ClearanceCertificate:
             return False
         verts, clear = self._base
         move = float(np.abs(trial.chain.vertices - verts).max())
-        return 3.0 * move < clear and self.clearance(trial) > 0.0
+        if not 3.0 * move < clear:
+            return False
+        self._last = (trial, self.clearance(trial))
+        return self._last[1] > 0.0
 
 
 def _line_search(le, direction, s_start, s_floor, accept, lengths, cert):
@@ -346,19 +353,27 @@ def _line_search(le, direction, s_start, s_floor, accept, lengths, cert):
     A trial is accepted when ``accept`` passes its log energy and it is
     embedded, tested in that order: ``cert`` (a
     :class:`ClearanceCertificate` based at the current iterate) proves
-    most trials embedded, the others go to ``classify``."""
+    most trials embedded, the others go to ``classify``.  Only then is its
+    gradient computed."""
     free = le.full_angles[:-1]
     s = s_start
+    unevaluable = (ValueError, np.linalg.LinAlgError)
     while s >= s_floor:
         try:
             cand = _evaluate(free + s * direction, lengths)
-        except (ValueError, np.linalg.LinAlgError):
+        except unevaluable:
             s *= BACKTRACK
             continue
         if accept(cand.log_value) and (
             cert.certifies(cand) or classify(cand.chain).embedded
         ):
-            return cand, s
+            # only the accepted trial pays for its gradient, and one whose
+            # gradient fails is skipped like one whose value fails
+            try:
+                cand.projected_gradient
+                return cand, s
+            except unevaluable:
+                pass
         s *= BACKTRACK
     return None
 

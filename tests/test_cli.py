@@ -407,6 +407,23 @@ class TestAtlas:
         assert "--grid" in r.output
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("scale", [1e154, 1e300, 1e-160, 1e-200])
+    def test_scale_free_at_extreme_scales(self, runner, tmp_path, scale):
+        # the constructions square lengths; they run at a power-of-two
+        # scale where that neither overflows nor underflows
+        def row(lengths):
+            f = write(tmp_path, "l.json", {"lengths": lengths})
+            r = invoke(runner, ["atlas", f, "--k", "1", "--grid", "3", "--out", "json"])
+            assert r.exit_code == 0, r.output
+            return json.loads(r.output)["rows"][0]
+
+        want = row([4, 4, 4, 3])
+        got = row([4 * scale, 4 * scale, 4 * scale, 3 * scale])
+        assert abs(got["nu"] - want["nu"]) <= 1e-12
+        assert abs(got["mu"] - want["mu"]) <= 1e-12
+        for key in ("witness_kind_min", "witness_kind_max", "witness_j"):
+            assert got[key] == want[key]
+
     def test_output_file(self, runner, tmp_path):
         f = write(tmp_path, "l.json", {"lengths": [2, 2, 2, 1]})
         dest = tmp_path / "atlas.csv"

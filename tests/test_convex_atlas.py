@@ -195,6 +195,26 @@ class TestSampleAtlas:
                 if k:
                     assert np.max(np.abs(theta[:k] - row.prefix)) < 1e-9
 
+    @pytest.mark.parametrize("exp", [-1, 1, -300, 600])
+    def test_power_of_two_scale_bit_identical(self, exp):
+        # the constructions run with the largest length in [1, 2), so a
+        # power-of-two rescale gives the same rows, with witness vertices
+        # scaled exactly (at 2**600 squaring a length overflows)
+        rng = np.random.default_rng(17)
+        for n in (5, 6, 7):
+            lengths = random_generic_lengths(n, rng)
+            want = pl.sample_atlas(lengths, n - 3, 3).rows
+            scaled = pl.SideLengths(np.ldexp(lengths.lengths, exp))
+            got = pl.sample_atlas(scaled, n - 3, 3).rows
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.prefix.tobytes() == b.prefix.tobytes()
+                assert (a.nu, a.mu) == (b.nu, b.mu)
+                for u, v in ((a.witness_min, b.witness_min), (a.witness_max, b.witness_max)):
+                    assert (u.kind, u.j, u.theta_k) == (v.kind, v.j, v.theta_k)
+                    back = np.ldexp(u.chain.vertices, -exp)
+                    assert back.tobytes() == v.chain.vertices.tobytes()
+
     def test_level_out_of_range(self):
         with pytest.raises(ValueError, match="level"):
             pl.sample_atlas(pl.SideLengths([2, 2, 2, 1]), 2, 10)

@@ -7,15 +7,16 @@ import polylink as pl
 from polylink.energy import (
     _elliptic_pairs,
     _elliptic_value,
-    _elliptic_value_and_vertex_grad,
+    _elliptic_vertex_grad,
     _logsumexp,
     _pair_mask,
     _swing_gradient,
     closure_jacobian,
     log_bump,
+    project_tangent,
 )
 
-from conftest import random_embedded_ccw, star_polygon
+from conftest import load_fixture_chain, random_embedded_ccw, star_polygon
 
 TAU = 2.0 * math.pi
 
@@ -134,10 +135,10 @@ class TestEllipticKernel:
         off = pl.ReducedCoords(free + 1e-3).chain(lengths)[0].vertices
         for verts, anchor in ((chain.vertices, chain.vertices[-1]), (off, np.zeros(2))):
             F_ref, g_ref, min_den_ref = _loop_elliptic(verts, anchor)
-            F, g, min_den = _elliptic_value_and_vertex_grad(verts, anchor)
+            F, inv, pairs = _elliptic_value(verts, anchor)
+            g, min_den = _elliptic_vertex_grad(inv, pairs), pairs[5]
             assert F == pytest.approx(F_ref, rel=1e-12, abs=0)
             assert min_den == pytest.approx(min_den_ref, rel=1e-12, abs=0)
-            assert _elliptic_value(verts, anchor) == F
             assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
 
     @pytest.mark.parametrize("n", [3, 8, 64])
@@ -423,7 +424,7 @@ class TestLogEnergy:
         )
         logs = np.array([log_bump(-t) for t in le.full_angles])
         assert (logs == -math.inf).any() and np.isfinite(logs).any()
-        F = _elliptic_value(le.chain.vertices, np.zeros(2))
+        F = _elliptic_value(le.chain.vertices, np.zeros(2))[0]
         assert le.log_value == _logsumexp(logs) + math.log(F)
 
     def test_convex_is_minus_infinity(self):
@@ -474,3 +475,79 @@ class TestLogEnergy:
             full = np.append(free, pl.ReducedCoords(free).dependent_angle())
             amps.append(sum(_bump(-t) for t in full))
         assert all(b < a for a, b in zip(amps, amps[1:]))
+
+
+def _eager_log_energy(coords, lengths):
+    """Reference for ``log_energy_gradient``: the eager formula, which
+    computed the value and every gradient at once, as
+    ``(log_value, min_den, gradient, projected_gradient, bump_gradient,
+    jacobian)``."""
+    verts = coords.chain(lengths)[0].vertices
+    full = coords.full_angles()
+    x = -full
+    logs = log_bump(x)
+    log_amp = _logsumexp(logs)
+    # the elliptic energy with its vertex gradient
+    to_a, to_b, da, db, den, min_den = _elliptic_pairs(verts, np.zeros(2))
+    mask = _pair_mask(verts.shape[0])
+    inv = 1.0 / (den * den)
+    w = -2.0 * inv / den
+    pa = np.divide(w, da, out=np.zeros_like(w), where=mask)[..., None] * to_a
+    pb = np.divide(w, db, out=np.zeros_like(w), where=mask)[..., None] * to_b
+    e_hat = np.diagonal(to_a).T / np.diagonal(da)[:, None]
+    we = w.sum(axis=1)[:, None] * e_hat
+    vgrad = (pa + pb).sum(axis=0) - pb.sum(axis=1) - we
+    vgrad[:-1] += we[1:] - pa[1:].sum(axis=1)
+    F = float(np.sum(inv))
+    jac = closure_jacobian(verts)
+    if log_amp == -math.inf:
+        zero = np.zeros(coords.n - 1)
+        return -math.inf, min_den, zero, zero, zero, jac
+    w = np.exp(logs - log_amp)
+    contrib = w * np.divide(2.0, x**3, out=np.zeros_like(x), where=w > 0.0)
+    d_log_amp = -contrib[:-1] + contrib[-1]
+    grad = d_log_amp + _swing_gradient(verts, vgrad) / F
+    return (
+        log_amp + math.log(F), min_den, grad, project_tangent(grad, jac), d_log_amp, jac
+    )
+
+
+def _bit_pin_chain(case):
+    if case == "pentagon":
+        return load_fixture_chain("pentagon_nonconvex.json")
+    if case == "convex":
+        return _unit_square()
+    n = int(case)
+    return random_embedded_ccw(n, np.random.default_rng(2200 + n), require_nonconvex=True)
+
+
+class TestLazyLogEnergy:
+    """The gradients a ``LogEnergy`` computes on first read are the bits
+    of the eager formula."""
+
+    @pytest.mark.parametrize(
+        "case", ["pentagon", *map(str, range(5, 13)), "convex"]
+    )
+    def test_matches_eager_formula(self, case):
+        chain = _bit_pin_chain(case)
+        lengths = chain.side_lengths()
+        coords = pl.ReducedCoords.from_chain(chain)
+        want = _eager_log_energy(coords, lengths)
+        le = pl.log_energy_gradient(coords, lengths)
+        assert (le.log_value == -math.inf) == (case == "convex")
+        assert le.log_value == want[0] and le.min_den == want[1]
+        got = (le.gradient, le.projected_gradient, le.bump_gradient, le.jacobian)
+        for a, b in zip(got, want[2:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_read_order_does_not_matter(self, pentagon_fixture):
+        lengths = pentagon_fixture.side_lengths()
+        coords = pl.ReducedCoords.from_chain(pentagon_fixture)
+        first = pl.log_energy_gradient(coords, lengths)
+        later = pl.log_energy_gradient(coords, lengths)
+        jac, proj = first.jacobian, first.projected_gradient  # Jacobian first
+        bump, grad = later.bump_gradient, later.gradient  # bump part first
+        assert jac.tobytes() == later.jacobian.tobytes()
+        assert proj.tobytes() == later.projected_gradient.tobytes()
+        assert first.gradient.tobytes() == grad.tobytes()
+        assert first.bump_gradient.tobytes() == bump.tobytes()

@@ -243,6 +243,42 @@ def test_mirror_and_cyclic_relabelling(n):
             assert pl.convexify(rolled).status == pl.CONVERGED
 
 
+class TestLineSearchSkipRule:
+    def test_gradient_failure_skips_to_next_halving(
+        self, pentagon_fixture, monkeypatch
+    ):
+        # a trial whose closure projection of the gradient raises is
+        # skipped like one whose value raises: the search goes on to the
+        # next halving, wherever the gradient is computed
+        lengths, le, cert = pl.flow._start(pentagon_fixture)
+        direction = pl.flow._unit(-le.projected_gradient, 0.0)
+
+        def search():
+            return pl.flow._line_search(
+                le, direction, 1e-2, pl.flow.MIN_STEP,
+                lambda v: v < le.log_value, lengths, cert,
+            )
+
+        first, step = search()
+        doomed = pl.energy.closure_jacobian(first.chain.vertices).tobytes()
+        project_tangent = pl.energy.project_tangent
+        raised = []
+
+        def failing(grad, jac):
+            if jac.tobytes() == doomed:
+                raised.append(jac)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return project_tangent(grad, jac)
+
+        monkeypatch.setattr(pl.energy, "project_tangent", failing)
+        cand, s = search()
+        assert len(raised) == 1
+        assert s == step * pl.flow.BACKTRACK
+        want = pl.flow._evaluate(le.full_angles[:-1] + s * direction, lengths)
+        assert cand.log_value == want.log_value
+        assert cand.projected_gradient.tobytes() == want.projected_gradient.tobytes()
+
+
 class TestFlowParams:
     def test_validation(self):
         with pytest.raises(ValueError):
