@@ -249,12 +249,24 @@ def turn_angle_array(verts: np.ndarray):
     return theta, (lens <= 1e-14 * scale[..., None]).any(axis=-1)
 
 
+def unit_scaled(verts: np.ndarray) -> np.ndarray:
+    """``verts`` times the power of two that brings the largest absolute
+    coordinate into [1, 2).
+
+    ``ldexp`` is exact, and turn angles and embeddedness do not change
+    under a power-of-two rescale, so a single chain is tested at this
+    scale, where no cross or dot product of its edges overflows.
+    """
+    return np.ldexp(verts, 1 - math.frexp(float(np.abs(verts).max()))[1])
+
+
 def turn_angles_from_vertices(chain: PolygonChain) -> TurnAngles:
-    """Signed turn angle at each vertex of a closed chain.
+    """Signed turn angle at each vertex of a closed chain, computed at
+    the chain's :func:`unit_scaled` size.
 
     Raises on zero-length edges, whose direction is undefined.
     """
-    theta, degenerate = turn_angle_array(chain.vertices)
+    theta, degenerate = turn_angle_array(unit_scaled(chain.vertices))
     if degenerate:
         raise ValueError("zero-length edge: turn angle undefined")
     return TurnAngles(theta)

@@ -9,12 +9,12 @@ Exit codes: 0 success, 1 I/O or parse error, 2 infeasible or non-generic
 lengths, or lengths the exact straight-line search cannot take (n > 45,
 or more straight lines than one report lists), 3 non-embedded polygon,
 4 flow non-convergence, or a flow that fails on an embedded polygon
-(closure projection, winding) with a JSON error on stderr; 4 is also
-used when the demo's expected findings fail.  ``convexify`` reports
-``"generic": null`` for n > 45, where the exact straight-line search
-does not run; the flow itself never needs genericity.  All output is
-deterministic: floats print with 17 significant digits and fields
-appear in fixed order.
+(closure projection, winding, overflow at extreme sizes) with a JSON
+error on stderr; 4 is also used when the demo's expected findings fail.
+``convexify`` reports ``"generic": null`` for n > 45, where the exact
+straight-line search does not run; the flow itself never needs
+genericity.  All output is deterministic: floats print with 17
+significant digits and fields appear in fixed order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .config_space import (
     is_generic,
     straight_line_sign_vectors,
 )
-from .convex_atlas import sample_atlas
+from .convex_atlas import max_level, sample_atlas
 from .flow import CONVERGED, FlowParams, NotEmbeddedError
 from .flow import convexify as run_convexify
 from .svg_frames import write_frame_set
@@ -237,7 +237,9 @@ def convexify(polygon_file, step, tol, max_iter, trace_path, svg_dir, stride):
         trace = run_convexify(chain, params)
     except NotEmbeddedError as exc:
         _fail(str(exc), EXIT_NONEMBEDDED)
-    except ValueError as exc:  # closure failure, or a winding other than +-2 pi
+    except (ValueError, OverflowError) as exc:
+        # closure failure, a winding other than +-2 pi, or a polygon too
+        # large for the flow's arithmetic
         _fail(str(exc), EXIT_NOCONVERGE)
     # the flow never needs genericity; past the exact search's limit it
     # is reported as undecided rather than failing a finished run
@@ -331,8 +333,9 @@ def atlas(lengths_file, k, grid, fmt, output):
             render_json({"generic": False, "straight_line": _sign_strings(report)})
         )
         sys.exit(EXIT_LENGTHS)
-    if not 1 <= k <= lengths.n - 3:
-        raise click.UsageError(f"--k must lie in 1..{lengths.n - 3} for n = {lengths.n}")
+    top = max_level(lengths.n)
+    if not 1 <= k <= top:
+        raise click.UsageError(f"--k must lie in 1..{top} for n = {lengths.n}")
 
     _write_atlas(lengths, k, grid, fmt, output)
     sys.exit(EXIT_OK)

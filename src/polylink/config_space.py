@@ -28,6 +28,7 @@ from .chain_geometry import (
     embedded_mask,
     segment_intersection,  # noqa: F401  re-exported: perfbench/tracer.py counts calls here
     turn_angles_from_vertices,
+    unit_scaled,
     vertices_from_turn_angles,
 )
 
@@ -62,10 +63,12 @@ def classify(chain: PolygonChain) -> ConfigClass:
     difference), count as zero, exactly as in
     :func:`enumerate_configurations`.  Convexity additionally
     requires counterclockwise winding and no negative turn angle beyond a
-    small slack.
+    small slack.  Both tests run at the chain's
+    :func:`~polylink.chain_geometry.unit_scaled` size, so the answer is
+    the same at any power-of-two scale.
     """
     angles = turn_angles_from_vertices(chain)
-    embedded = bool(embedded_mask(chain.vertices[None])[0])
+    embedded = bool(embedded_mask(unit_scaled(chain.vertices)[None])[0])
     winding = angles.winding
     convex = embedded and bool(_convex_turns(angles.angles[None], winding)[0])
     return ConfigClass(embedded=embedded, winding=winding, convex_ccw=convex)

@@ -59,6 +59,31 @@ class PrefixError(ValueError):
     """Prefix admits no convex completion (or construction failed)."""
 
 
+# per-row failure codes of the prefix check and the block kernels; each
+# indexes FAILURES, and 0 is a row that did not fail
+OUTSIDE, PAST_TAU, NO_TAIL, NO_REACH, ZERO_EDGE, FLAT_PIN, NO_MAX = range(1, 8)
+FAILURES = (
+    None,
+    (ValueError, "prefix angles must lie in [0, pi)"),
+    (ValueError, "prefix angles must not turn past 2*pi in total"),
+    (PrefixError, "no free tail left to stretch at this level"),
+    (PrefixError, "prefix endpoint cannot reach closure even with a straight tail"),
+    (ValueError, "zero-length edge: turn angle undefined"),
+    (PrefixError, "prefix admits no convex completion (flat-pin failed)"),
+    (PrefixError, "no valid maximally stretched candidate: prefix lies on the "
+     "boundary of feasibility"),
+)
+
+
+def _raise_first(codes: np.ndarray):
+    """Raise the failure of the first nonzero code, row by row for a 2-d
+    block of codes."""
+    failed = codes[codes != 0]
+    if failed.size:
+        cls, message = FAILURES[failed[0]]
+        raise cls(message)
+
+
 @dataclass(frozen=True, eq=False)
 class AnglePrefix:
     """A convex turn-angle prefix; entries in [0, pi), partial sums <= 2*pi."""
@@ -66,9 +91,8 @@ class AnglePrefix:
     alpha: np.ndarray
 
     def __post_init__(self):
-        rows, errors = _as_prefix_rows(np.asarray(self.alpha, dtype=float).reshape(1, -1))
-        if errors[0] is not None:
-            raise errors[0]
+        rows, bad = _as_prefix_rows(np.asarray(self.alpha, dtype=float).reshape(1, -1))
+        _raise_first(bad)
         object.__setattr__(self, "alpha", rows[0])
 
     def __len__(self) -> int:
@@ -91,23 +115,20 @@ class StretchedWitness:
     j: int | None = None
 
 
-def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, list]:
+def _as_prefix_rows(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every row of a ``(P, m)`` block as a prefix: rows with no angle
     below ``-CONVEX_ANGLE_SLACK`` have their construction noise clamped to
-    0.  Returns the rows and, per row, the ``ValueError`` of a prefix with
+    0.  Returns the rows and, per row, the failure code of a prefix with
     an angle outside [0, pi) (NaN is outside) or turning past 2*pi in
-    total, else ``None``."""
-    errors: list = [None] * alphas.shape[0]
+    total, else 0."""
+    codes = np.zeros(alphas.shape[0], np.int8)
     if alphas.shape[1]:
         noise = (alphas.min(axis=1) >= -CONVEX_ANGLE_SLACK)[:, None]
         alphas = np.where(noise, np.maximum(alphas, 0.0), alphas)
-        outside = ~((alphas >= 0.0) & (alphas < math.pi)).all(axis=1)
         past = np.cumsum(alphas, axis=1).max(axis=1) > TAU + CONVEX_ANGLE_SLACK
-        for r in np.flatnonzero(outside):
-            errors[r] = ValueError("prefix angles must lie in [0, pi)")
-        for r in np.flatnonzero(past & ~outside):
-            errors[r] = ValueError("prefix angles must not turn past 2*pi in total")
-    return alphas, errors
+        codes[past] = PAST_TAU
+        codes[~((alphas >= 0.0) & (alphas < math.pi)).all(axis=1)] = OUTSIDE
+    return alphas, codes
 
 
 def _as_prefix(alpha) -> np.ndarray:
@@ -129,12 +150,16 @@ def _require_generic(lengths: SideLengths):
         )
 
 
+def max_level(n: int) -> int:
+    """The deepest atlas level of an n-gon: its dimension n - 3, and 1
+    for a triangle."""
+    return max(1, n - 3)
+
+
 def _level_bounds(lengths: SideLengths, k_level: int):
-    n = lengths.n
-    if not 1 <= k_level <= max(1, n - 3):
-        raise ValueError(
-            f"level must lie in 1..{max(1, n - 3)} for n = {n} sides"
-        )
+    top = max_level(lengths.n)
+    if not 1 <= k_level <= top:
+        raise ValueError(f"level must lie in 1..{top} for n = {lengths.n} sides")
 
 
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -198,11 +223,13 @@ def _pick(theta_k: np.ndarray, ok: np.ndarray, maximize: bool):
     return best, arg
 
 
-def _no_tail(P: int) -> list:
-    return [PrefixError("no free tail left to stretch at this level")] * P
+def _no_tail(P: int, n: int):
+    """A kernel's outcome for a block of prefixes with no free tail."""
+    code = np.full(P, NO_TAIL, np.int8)
+    return np.zeros(P), np.zeros((P, n, 2)), np.zeros(P, int), code
 
 
-def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
+def _min_block(ell: np.ndarray, alphas: np.ndarray):
     """Minimum turn angle at the first free vertex for a ``(P, K-1)``
     block of valid same-level prefixes.
 
@@ -210,24 +237,19 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     origin, one per branch of the circle intersection.  Rows whose best
     candidate is negative, or that have none, are case (a): the minimum
     is zero, witnessed by the same kernel one level deeper with the angle
-    pinned to zero.  Returns the minima, the witnesses (``None`` entries
-    unless ``witnesses``) and, per row, the exception the scalar
-    construction raises, or ``None``.
+    pinned to zero.  Returns, per row, the witness's turn angle at the
+    free vertex (0 in case (a)), its vertices ``(P, n, 2)``, whether it is
+    case (b), and the failure code of the scalar construction (0 when the
+    row succeeds).
     """
     P, n, K = alphas.shape[0], ell.size, alphas.shape[1] + 1
-    found: list = [None] * P
     if K > n - 2:
-        return np.zeros(P), found, _no_tail(P)
-    errors: list = [None] * P
+        return _no_tail(P, n)
     front = chain_vertices(ell[:K], alphas)  # vertices 0..K-1 of each prefix
     pk = front[:, -1]
     r1 = float(ell[K])
     tail = float(ell[K + 1 :].sum())
     points, count, d = _circle_points(pk, r1, np.zeros(2), tail)
-    for r in np.flatnonzero(d > r1 + tail + TANGENT_RTOL * (r1 + tail)):
-        errors[r] = PrefixError(
-            "prefix endpoint cannot reach closure even with a straight tail"
-        )
     span = _hypot(points[..., 0], points[..., 1])
     built = (np.arange(2) < count[:, None]) & ~(span <= 0.0)
     u = -points / np.where(built, span, 1.0)[..., None]
@@ -245,54 +267,36 @@ def _min_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     ok = built & convex.all(axis=-1)
     best, arg = _pick(theta_k, ok, maximize=False)
 
-    for r in np.flatnonzero((built & degenerate).any(axis=1)):
-        if errors[r] is None:
-            errors[r] = ValueError("zero-length edge: turn angle undefined")
+    code = np.zeros(P, np.int8)
+    code[(built & degenerate).any(axis=1)] = ZERO_EDGE
+    code[d > r1 + tail + TANGENT_RTOL * (r1 + tail)] = NO_REACH
     # a tiny negative minimum is construction noise on an exact zero
     case_b = (arg >= 0) & (best >= -CONVEX_ANGLE_SLACK)
-    nu = np.where(case_b, np.where(best < 0.0, 0.0, best), 0.0)
-    if witnesses:
-        for r in np.flatnonzero(case_b):
-            found[r] = StretchedWitness(
-                kind=MINIMAL_CASE_B,
-                chain=PolygonChain(verts[r, arg[r]].copy()),
-                theta_k=float(best[r]),
-            )
+    verts = verts[np.arange(P), arg]
 
     # case (a): some convex completion is flat here; witness by pinning 0
-    flat = [r for r in np.flatnonzero(~case_b) if errors[r] is None]
-    if flat:
-        pinned = np.column_stack((alphas[flat], np.zeros(len(flat))))
-        _, deeper, failed = _min_block(ell, pinned, witnesses)
-        for r, w, exc in zip(flat, deeper, failed):
-            if isinstance(exc, PrefixError):
-                errors[r] = PrefixError(
-                    "prefix admits no convex completion (flat-pin failed)"
-                )
-                errors[r].__cause__ = exc
-            elif exc is not None:
-                errors[r] = exc
-            elif witnesses:
-                found[r] = StretchedWitness(
-                    kind=MINIMAL_CASE_A, chain=w.chain, theta_k=0.0
-                )
-    return nu, found, errors
+    flat = np.flatnonzero(~case_b & (code == 0))
+    if flat.size:
+        pinned = np.column_stack((alphas[flat], np.zeros(flat.size)))
+        _, verts[flat], _, deeper = _min_block(ell, pinned)
+        # a deeper PrefixError means the pin failed; a zero-length edge stays
+        code[flat] = np.where((deeper > 0) & (deeper != ZERO_EDGE), FLAT_PIN, deeper)
+    return np.where(case_b, best, 0.0), verts, case_b, code
 
 
-def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
+def _max_block(ell: np.ndarray, alphas: np.ndarray):
     """Maximum turn angle at the first free vertex for a ``(P, K-1)``
     block of valid same-level prefixes.
 
     Candidate pair ``(J, branch)`` straightens the edges ``K..J-1`` into
     one run from the prefix endpoint and lays every edge after ``J`` flat
     along the x-axis into the origin; the run's end is one circle
-    intersection.  Returns as :func:`_min_block` does.
+    intersection.  Returns as :func:`_min_block` does, with the witness's
+    ``j`` (see :class:`StretchedWitness`) in place of the case.
     """
     P, n, K = alphas.shape[0], ell.size, alphas.shape[1] + 1
-    found: list = [None] * P
     if K > n - 2:
-        return np.zeros(P), found, _no_tail(P)
-    errors: list = [None] * P
+        return _no_tail(P, n)
     front = chain_vertices(ell[:K], alphas)  # vertices 0..K-1 of each prefix
     pk = front[:, -1]
     ends = range(K + 1, n)  # J: the run covers edges K..J-1
@@ -319,24 +323,10 @@ def _max_block(ell: np.ndarray, alphas: np.ndarray, witnesses: bool):
     ok = built & _convex(theta).all(axis=-1)
     best, arg = _pick(theta[..., K - 1], ok, maximize=True)
 
-    zero_edge = (built & degenerate).any(axis=1)
-    for r in np.flatnonzero(zero_edge):
-        errors[r] = ValueError("zero-length edge: turn angle undefined")
-    for r in np.flatnonzero(~zero_edge & (arg < 0)):
-        errors[r] = PrefixError(
-            "no valid maximally stretched candidate: prefix lies on the "
-            "boundary of feasibility"
-        )
-    mu = np.where(best < 0.0, 0.0, best)  # rows with an error are never read
-    if witnesses:
-        for r in np.flatnonzero(~zero_edge & (arg >= 0)):
-            found[r] = StretchedWitness(
-                kind=MAXIMAL,
-                chain=PolygonChain(verts[r, arg[r]].copy()),
-                theta_k=float(best[r]),
-                j=ends[arg[r] // 2],  # two branches per run end
-            )
-    return mu, found, errors
+    code = np.where(arg < 0, NO_MAX, 0).astype(np.int8)
+    code[(built & degenerate).any(axis=1)] = ZERO_EDGE
+    # two branches per run end; rows with an error are never read
+    return best, verts[np.arange(P), arg], K + 1 + arg // 2, code
 
 
 def _unit_scale(lengths: SideLengths) -> tuple[np.ndarray, int]:
@@ -344,55 +334,56 @@ def _unit_scale(lengths: SideLengths) -> tuple[np.ndarray, int]:
     largest into [1, 2), and ``e``.
 
     The constructions square lengths, so they run at this scale, where
-    nothing overflows or underflows, and :func:`_rescaled` takes their
-    witnesses back; ``ldexp`` is exact both ways, so angles and
+    nothing overflows or underflows, and :func:`_witness` takes their
+    vertices back; ``ldexp`` is exact both ways, so angles and
     witnesses come out as at any scale a power of two away.
     """
     e = math.frexp(float(lengths.lengths.max()))[1] - 1
     return np.ldexp(lengths.lengths, -e), e
 
 
-def _rescaled(found: list, e: int) -> list:
-    """Witnesses of the constructions at scale 1 with their vertices
-    times ``2**e``."""
-    if e == 0:
-        return found
-    return [
-        w if w is None else StretchedWitness(
-            w.kind, PolygonChain(np.ldexp(w.chain.vertices, e)), w.theta_k, w.j
-        )
-        for w in found
-    ]
+def _witness(kind: str, vertices: np.ndarray, theta_k, e: int, j=None):
+    """A witness built at scale 1, with its vertices times ``2**e``."""
+    chain = PolygonChain(np.ldexp(vertices, e))
+    return StretchedWitness(kind, chain, float(theta_k), None if j is None else int(j))
 
 
-def _intervals(lengths: SideLengths, alphas: np.ndarray, witnesses: bool):
+def _intervals(lengths: SideLengths, alphas: np.ndarray):
     """Level intervals ``[nu, mu]`` of a ``(P, K-1)`` block of prefixes.
 
-    Returns ``(nu, witness_min, mu, witness_max)`` for the block, or
-    raises what the scalar constructions would raise on its first failing
-    row: a bad prefix first, then the minimum's error, then the maximum's.
+    Returns ``nu``, ``mu`` and a function that builds row ``r``'s
+    ``(witness_min, witness_max)``, or raises what the scalar
+    constructions would raise on the block's first failing row: a bad
+    prefix first, then the minimum's error, then the maximum's.
     """
     ell, e = _unit_scale(lengths)
     rows, bad = _as_prefix_rows(alphas)
-    nu, wmin, err_min = _min_block(ell, rows, witnesses)
-    mu, wmax, err_max = _max_block(ell, rows, witnesses)
-    for errors in zip(bad, err_min, err_max):
-        for exc in errors:
-            if exc is not None:
-                raise exc
-    return nu, _rescaled(wmin, e), mu, _rescaled(wmax, e)
+    t_min, v_min, case_b, min_code = _min_block(ell, rows)
+    t_max, v_max, j, max_code = _max_block(ell, rows)
+    _raise_first(np.column_stack((bad, min_code, max_code)))
+
+    def witnesses(r: int):
+        kind = MINIMAL_CASE_B if case_b[r] else MINIMAL_CASE_A
+        return (
+            _witness(kind, v_min[r], t_min[r], e),
+            _witness(MAXIMAL, v_max[r], t_max[r], e, j[r]),
+        )
+
+    # a tiny negative end is construction noise on an exact zero
+    nu, mu = (np.where(t < 0.0, 0.0, t) for t in (t_min, t_max))
+    return nu, mu, witnesses
 
 
 def _one(block, lengths: SideLengths, alpha):
-    """Run a block kernel on a single prefix, raising its error."""
+    """Run a block kernel on a single prefix, raising its error.  Returns
+    the row's outcome and the scale exponent of :func:`_witness`."""
     alpha = _as_prefix(alpha)
     _require_generic(lengths)
     _level_bounds(lengths, alpha.size + 1)
     ell, e = _unit_scale(lengths)
-    value, found, errors = block(ell, alpha[None], True)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(value[0]), _rescaled(found, e)[0]
+    theta, verts, tag, code = block(ell, alpha[None])
+    _raise_first(code)
+    return theta[0], verts[0], tag[0], e
 
 
 def min_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness]:
@@ -403,7 +394,9 @@ def min_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness
     there means the true minimum is zero, witnessed by re-running one
     level deeper with the angle pinned to zero.
     """
-    return _one(_min_block, lengths, alpha)
+    theta, verts, case_b, e = _one(_min_block, lengths, alpha)
+    kind = MINIMAL_CASE_B if case_b else MINIMAL_CASE_A
+    return float(max(theta, 0.0)), _witness(kind, verts, theta, e)
 
 
 def max_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness]:
@@ -416,7 +409,8 @@ def max_turn_angle(lengths: SideLengths, alpha) -> tuple[float, StretchedWitness
     one circle intersection; invalid candidates are discarded and the
     best surviving turn angle wins.
     """
-    return _one(_max_block, lengths, alpha)
+    theta, verts, j, e = _one(_max_block, lengths, alpha)
+    return float(max(theta, 0.0)), _witness(MAXIMAL, verts, theta, e, j)
 
 
 def contains_prefix(lengths: SideLengths, alpha) -> bool:
@@ -425,7 +419,7 @@ def contains_prefix(lengths: SideLengths, alpha) -> bool:
     _require_generic(lengths)
     for m in range(alpha.size):
         try:
-            nu, _, mu, _ = _intervals(lengths, alpha[None, :m], False)
+            nu, mu, _ = _intervals(lengths, alpha[None, :m])
         except PrefixError:
             return False
         if not (nu[0] - PREFIX_TOL <= alpha[m] <= mu[0] + PREFIX_TOL):
@@ -541,15 +535,15 @@ def sample_atlas(lengths: SideLengths, k: int, grid: int) -> AtlasSample:
     for _ in range(1, k):
         extended = []
         for block in blocks(prefixes):
-            nu, _, mu, _ = _intervals(lengths, block, False)
+            nu, mu, _ = _intervals(lengths, block)
             extended.append(_grid_rows(block, nu, mu, grid))
         prefixes = np.concatenate(extended)
 
     rows = []
     for block in blocks(prefixes):
-        nu, wmin, mu, wmax = _intervals(lengths, block, True)
+        nu, mu, witnesses = _intervals(lengths, block)
         rows += [
-            AtlasRow(prefix=alpha, nu=float(a), mu=float(b), witness_min=w0, witness_max=w1)
-            for alpha, a, b, w0, w1 in zip(block, nu, mu, wmin, wmax)
+            AtlasRow(alpha, float(a), float(b), *witnesses(r))
+            for r, (alpha, a, b) in enumerate(zip(block, nu, mu))
         ]
     return AtlasSample(lengths=lengths, rows=rows)

@@ -131,6 +131,17 @@ class TestCheck:
         assert r.exit_code == 3
         assert json.loads(r.output)["embedded"] is False
 
+    @pytest.mark.parametrize("exp", [512, -540])
+    def test_pentagon_at_power_of_two_scale_golden_bytes(self, runner, tmp_path, exp):
+        # at these scales the edge cross products overflow (2**512) or
+        # underflow (2**-540); the check runs at unit scale instead
+        data = json.loads((FIXTURES / "pentagon_nonconvex.json").read_text())
+        verts = np.ldexp(np.array(data["vertices"], dtype=float), exp)
+        f = write(tmp_path, "p.json", {"vertices": verts.tolist()})
+        r = invoke(runner, ["check", f])
+        assert r.exit_code == 0
+        assert r.stdout_bytes == (FIXTURES / "golden" / "check_pentagon.json").read_bytes()
+
     def test_representation_equivalence(self, runner, tmp_path):
         angles_file = write(
             tmp_path,
@@ -306,6 +317,20 @@ class TestConvexify:
         assert r.exit_code == 0
         assert json.loads(r.output)["status"] == "converged_convex"
 
+    @pytest.mark.parametrize("exp", [512, -540])
+    def test_extreme_scale_ends_in_json_not_traceback(self, runner, tmp_path, exp):
+        # `check` passes these polygons as embedded and CCW; the flow is
+        # not scale-free this far out (its energy overflows, which numpy
+        # reports as warnings, here silenced), but the command still ends
+        # with a JSON error rather than a traceback
+        verts = np.ldexp(load_fixture_chain("pentagon_nonconvex.json").vertices, exp)
+        f = write(tmp_path, "p.json", {"vertices": verts.tolist()})
+        with np.errstate(all="ignore"):
+            r = invoke(runner, ["convexify", f])
+        assert r.exit_code in (0, 4)
+        if r.exit_code == 4:
+            assert set(json.loads(r.stderr)) == {"error"}
+
     @pytest.mark.parametrize(
         "option, value, message",
         [
@@ -377,9 +402,19 @@ class TestAtlas:
 
     def test_triangle_k_out_of_range_usage_error(self, runner, tmp_path):
         f = write(tmp_path, "l.json", {"lengths": [1, 1, 1]})
-        r = invoke(runner, ["atlas", f, "--k", "1"])
+        r = invoke(runner, ["atlas", f, "--k", "2"])
         assert r.exit_code == 2
-        assert "--k" in r.output
+        assert "--k must lie in 1..1 for n = 3" in r.output
+
+    def test_triangle_level1_single_row(self, runner, tmp_path):
+        # the library's level bound, 1..max(1, n - 3), admits level 1 here
+        f = write(tmp_path, "l.json", {"lengths": [1, 1, 1]})
+        r = invoke(runner, ["atlas", f, "--k", "1", "--out", "json"])
+        assert r.exit_code == 0
+        (row,) = json.loads(r.output)["rows"]
+        want = pl.sample_atlas(pl.SideLengths([1.0, 1.0, 1.0]), 1, 100).rows[0]
+        assert (row["nu"], row["mu"]) == (want.nu, want.mu)
+        assert row["nu"] == pytest.approx(TAU / 3)
 
     def test_non_generic_exits_2(self, runner, tmp_path):
         f = write(tmp_path, "l.json", {"lengths": [6, 4, 2, 4]})

@@ -485,7 +485,7 @@ def test_kernel_matches_scalar_reference(n, seed):
     lengths = random_generic_lengths(n, np.random.default_rng(900 + 10 * n + seed))
     for level in _level_prefixes(lengths):
         block = np.array(level)
-        batch = _outcome(_intervals, lengths, block, True)
+        batch = _outcome(_intervals, lengths, block)
         for r, alpha in enumerate(level):
             want_min = _outcome(ref_min_turn_angle, lengths, alpha)
             want_max = _outcome(ref_max_turn_angle, lengths, alpha)
@@ -493,9 +493,10 @@ def test_kernel_matches_scalar_reference(n, seed):
             assert_same_endpoint(_outcome(pl.max_turn_angle, lengths, alpha), want_max)
             if isinstance(batch[0], type):
                 continue  # a row of this block failed; the rows alone are checked above
-            nu, wmin, mu, wmax = batch
-            assert_same_endpoint((nu[r], wmin[r]), want_min)
-            assert_same_endpoint((mu[r], wmax[r]), want_max)
+            nu, mu, witnesses = batch
+            wmin, wmax = witnesses(r)
+            assert_same_endpoint((nu[r], wmin), want_min)
+            assert_same_endpoint((mu[r], wmax), want_max)
 
 
 def test_walk_reaches_both_minimum_cases():
@@ -556,7 +557,7 @@ def test_out_of_interval_prefix_same_error():
             ref_min_turn_angle, lengths, alpha
         )
         with pytest.raises(PrefixError) as got:
-            _intervals(lengths, np.array([alpha]), True)
+            _intervals(lengths, np.array([alpha]))
         first = _outcome(ref_min_turn_angle, lengths, alpha)
         if not isinstance(first[0], type):
             first = want
@@ -566,11 +567,33 @@ def test_out_of_interval_prefix_same_error():
 
 def _block_outcome(lengths, block):
     """The error of ``_intervals`` on a block, or the bits of its nu and mu."""
-    got = _outcome(_intervals, lengths, np.array(block), False)
+    got = _outcome(_intervals, lengths, np.array(block))
     if isinstance(got[0], type):
         return got
-    nu, _, mu, _ = got
+    nu, mu, _ = got
     return _bits(nu), _bits(mu)
+
+
+def test_first_failing_row_across_kernels():
+    # a block whose rows fail in different kernels raises the error of its
+    # first failing row, whichever kernel that row fails in
+    lengths = random_generic_lengths(8, np.random.default_rng(980))
+    rng = np.random.default_rng(3)
+    rows = {}  # (minimum fails, maximum fails) -> (prefix, its first error)
+    for _ in range(2000):
+        alpha = rng.uniform(0.0, 2.0, 4)
+        want_min = _outcome(ref_min_turn_angle, lengths, alpha)
+        want_max = _outcome(ref_max_turn_angle, lengths, alpha)
+        fails = (isinstance(want_min[0], type), isinstance(want_max[0], type))
+        rows.setdefault(fails, (alpha, want_min if fails[0] else want_max))
+        if {(False, False), (True, False), (False, True)} <= rows.keys():
+            break
+    good = rows[False, False][0]
+    in_min, in_max = rows[True, False], rows[False, True]
+    for first, later in ((in_min, in_max), (in_max, in_min)):
+        block = [good, first[0], good, later[0]]
+        assert _block_outcome(lengths, block) == first[1]
+        assert _block_outcome(lengths, block[2:]) == later[1]
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,8 @@ GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 CASES = {
     "atlas_n7_k3_g8.csv": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "csv"]),
     "atlas_n7_k3_g8.json": ("n7.json", ["atlas", "--k", "3", "--grid", "8", "--out", "json"]),
+    # k = n - 3: the flat-pin recursion reaches level n - 2
+    "atlas_n7_k4_g5.csv": ("n7.json", ["atlas", "--k", "4", "--grid", "5", "--out", "csv"]),
     "atlas_n20_k2_g10.csv": ("n20.json", ["atlas", "--k", "2", "--grid", "10", "--out", "csv"]),
     "atlas_n20_k2_g10.json": ("n20.json", ["atlas", "--k", "2", "--grid", "10", "--out", "json"]),
     "analyze_6424.json": ("l6424.json", ["analyze"]),
